@@ -327,12 +327,6 @@ class ChangeGraphStore:
                 if line.strip():
                     yield json.loads(line)
 
-    def record_by_id(self, record_id: str) -> dict | None:
-        for record in self.iter_records():
-            if record["id"] == record_id:
-                return record
-        return None
-
     def finalize(self, config: dict, repos: dict) -> None:
         records = sorted(
             self.iter_records(),

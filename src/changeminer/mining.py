@@ -496,10 +496,6 @@ def _consistent(i: int, j: int, assigned: dict[int, int], p_adj, q_adj) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class BudgetExceeded(Exception):
-    pass
-
-
 def _has_universal_change(instances: list[Instance], corpus_index: dict,
                           size: int) -> bool:
     if not instances:
@@ -598,6 +594,15 @@ def filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
     Larger means more nodes, or equally many nodes with strictly more
     edges/map edges; the tie rule collapses under-specified views of one
     concrete change (templates that pin down fewer of its connections).
+
+    Dominating candidates come from an inverted index, not from a scan of
+    every pair: the int mask stored under (change-graph id, node) has bit j
+    set when pattern j binds that node in that graph. For p, the candidates
+    start as the mask of all larger patterns. Each instance of p ANDs in the
+    masks of its nodes, then keeps only the candidates with one instance in
+    that graph whose node set contains the instance's. p is dominated when a
+    candidate survives every instance; with no instances, when any larger
+    pattern exists. Kept patterns stay in input order.
     """
     def bulk(record: PatternRecord) -> tuple[int, int]:
         return (record.size,
@@ -607,20 +612,38 @@ def filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
         [(gid, frozenset(binding)) for gid, binding in record.instances]
         for record in patterns
     ]
+    holders: dict[tuple[str, int], int] = {}
+    same_bulk: dict[tuple[int, int], int] = {}
+    for j, record in enumerate(patterns):
+        bit = 1 << j
+        for gid, nodes in node_sets[j]:
+            for node in nodes:
+                holders[gid, node] = holders.get((gid, node), 0) | bit
+        rank = bulk(record)
+        same_bulk[rank] = same_bulk.get(rank, 0) | bit
+    larger: dict[tuple[int, int], int] = {}
+    above = 0
+    for rank in sorted(same_bulk, reverse=True):
+        larger[rank] = above
+        above |= same_bulk[rank]
+
     keep = []
     for i, record in enumerate(patterns):
-        dominated = False
-        for j, other in enumerate(patterns):
-            if bulk(other) <= bulk(record):
-                continue
-            if all(
-                any(gid == o_gid and nodes <= o_nodes
-                    for o_gid, o_nodes in node_sets[j])
-                for gid, nodes in node_sets[i]
-            ):
-                dominated = True
+        candidates = larger[bulk(record)]
+        for gid, nodes in node_sets[i]:
+            if not candidates:
                 break
-        if not dominated:
+            mask = candidates
+            for node in nodes:
+                mask &= holders[gid, node]
+            candidates = 0
+            while mask:
+                low = mask & -mask
+                if any(gid == o_gid and nodes <= o_nodes
+                       for o_gid, o_nodes in node_sets[low.bit_length() - 1]):
+                    candidates |= low
+                mask ^= low
+        if not candidates:
             keep.append(record)
     return keep
 

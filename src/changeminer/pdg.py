@@ -63,9 +63,6 @@ class Fgpdg:
     nodes: list[FgNode]
     edges: list[FgEdge]
 
-    def node_by_id(self, node_id: int) -> FgNode:
-        return self.nodes[node_id]
-
 
 def resolve_callee(call_subtree: AstNode, imports: ImportTable) -> str:
     """Label for a call: qualified path, bare name, or "?.<name>" fallback.

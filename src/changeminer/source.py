@@ -67,13 +67,6 @@ def same_tree(a: AstNode, b: AstNode) -> bool:
     return all(same_tree(x, y) for x, y in zip(a.children, b.children))
 
 
-def clone_tree(node: AstNode) -> AstNode:
-    copy = AstNode(node.kind, node.label, span=node.span)
-    for child in node.children:
-        copy.add(clone_tree(child))
-    return copy
-
-
 @dataclass
 class FunctionUnit:
     """A single function or method definition extracted from one file revision."""

@@ -9,10 +9,8 @@ surface.
 
 from __future__ import annotations
 
-import itertools
-
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
-                                TNode, canonical_key)
+                                PatternRecord, TNode, canonical_key)
 
 
 def _template_adjacency(t: PatternGraph) -> dict[int, set[int]]:
@@ -101,37 +99,63 @@ def _universally_changed(embedded, corpus_by_id, size: int) -> bool:
     )
 
 
+def _links(t: PatternGraph) -> list[set[tuple]]:
+    """Per node: (other node, direction, kind, label) for every edge and map edge."""
+    links: list[set[tuple]] = [set() for _ in range(t.size)]
+    for src, dst, kind, label in t.edges:
+        links[src].add((dst, "out", kind, label))
+        links[dst].add((src, "in", kind, label))
+    for b, a in t.map_edges:
+        links[b].add((a, "map-out", "", ""))
+        links[a].add((b, "map-in", "", ""))
+    return links
+
+
 def brute_force_isomorphic(p: PatternGraph, q: PatternGraph) -> bool:
-    """Permutation search restricted to equal-signature positions."""
+    """Permutation search restricted to equal-signature positions.
+
+    Positions are assigned one at a time; a partial assignment is abandoned
+    as soon as an edge or map edge between assigned positions has no
+    counterpart on the other side. Complete assignments are compared as
+    whole edge sets.
+    """
     if p.size != q.size or sorted(p.nodes) != sorted(q.nodes):
         return False
     slots: dict[TNode, list[int]] = {}
     for j, node in enumerate(q.nodes):
         slots.setdefault(node, []).append(j)
-    groups = [(node, indices) for node, indices in sorted(slots.items())]
-    p_positions = [[i for i, node in enumerate(p.nodes) if node == sig]
-                   for sig, _ in groups]
+    order = [i for sig in sorted(slots)
+             for i, node in enumerate(p.nodes) if node == sig]
+    p_links = _links(p)
+    q_links = _links(q)
 
     def check(perm_map: dict[int, int]) -> bool:
         edges = {(perm_map[s], perm_map[d], k, l) for s, d, k, l in p.edges}
         maps = {(perm_map[b], perm_map[a]) for b, a in p.map_edges}
         return edges == set(q.edges) and maps == set(q.map_edges)
 
-    def assign(group_idx: int, perm_map: dict[int, int]) -> bool:
-        if group_idx == len(groups):
+    def agrees(i: int, j: int, perm_map: dict[int, int],
+               inverse: dict[int, int]) -> bool:
+        mapped = {(perm_map[other], *tag) for other, *tag in p_links[i]
+                  if other in perm_map}
+        return mapped == {link for link in q_links[j] if link[0] in inverse}
+
+    def assign(k: int, perm_map: dict[int, int], inverse: dict[int, int]) -> bool:
+        if k == len(order):
             return check(perm_map)
-        _, q_slots = groups[group_idx]
-        p_slots = p_positions[group_idx]
-        if len(p_slots) != len(q_slots):
-            return False
-        for permutation in itertools.permutations(q_slots):
-            trial = dict(perm_map)
-            trial.update(zip(p_slots, permutation))
-            if assign(group_idx + 1, trial):
+        i = order[k]
+        for j in slots[p.nodes[i]]:
+            if j in inverse:
+                continue
+            perm_map[i] = j
+            inverse[j] = i
+            if agrees(i, j, perm_map, inverse) and assign(k + 1, perm_map, inverse):
                 return True
+            del perm_map[i]
+            del inverse[j]
         return False
 
-    return assign(0, {})
+    return assign(0, {}, {})
 
 
 def _grow(t: PatternGraph, embedded, corpus_by_id) -> list[PatternGraph]:
@@ -224,3 +248,36 @@ def oracle_pattern_keys(corpus: list[CorpusGraph], cfg: MiningConfig) -> set[str
                     upcoming.append(child)
         frontier = upcoming
     return emitted
+
+
+def brute_force_filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
+    """Drop p when a larger q covers every instance of p (node-binding subset).
+
+    Larger means more nodes, or equally many nodes with strictly more
+    edges/map edges; the tie rule collapses under-specified views of one
+    concrete change (templates that pin down fewer of its connections).
+    """
+    def bulk(record: PatternRecord) -> tuple[int, int]:
+        return (record.size,
+                len(record.graph.edges) + len(record.graph.map_edges))
+
+    node_sets = [
+        [(gid, frozenset(binding)) for gid, binding in record.instances]
+        for record in patterns
+    ]
+    keep = []
+    for i, record in enumerate(patterns):
+        dominated = False
+        for j, other in enumerate(patterns):
+            if bulk(other) <= bulk(record):
+                continue
+            if all(
+                any(gid == o_gid and nodes <= o_nodes
+                    for o_gid, o_nodes in node_sets[j])
+                for gid, nodes in node_sets[i]
+            ):
+                dominated = True
+                break
+        if not dominated:
+            keep.append(record)
+    return keep

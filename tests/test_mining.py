@@ -12,7 +12,8 @@ from changeminer.mining import (CorpusGraph, MiningConfig, PatternGraph, TNode,
                                 support_of, verify_instance)
 from changeminer.mining import PatternRecord
 
-from _oracle import brute_force_isomorphic, oracle_pattern_keys
+from _oracle import (brute_force_filter_maximal, brute_force_isomorphic,
+                     oracle_pattern_keys)
 from conftest import FIG2_AFTER, FIG2_BEFORE, change_record
 
 
@@ -283,10 +284,11 @@ def test_determinism_across_runs():
     assert keys1 == keys2
 
 
-def _record_with(size: int, instances) -> PatternRecord:
+def _record_with(size: int, instances, edges: int = 0) -> PatternRecord:
     sig = TNode("Before", "Operation", "call", "f")
     return PatternRecord(
-        graph=PatternGraph(tuple(sig for _ in range(size)), frozenset(),
+        graph=PatternGraph(tuple(sig for _ in range(size)),
+                           frozenset((0, 1, "Data", f"l{k}") for k in range(edges)),
                            frozenset({(0, 0)})),
         instances=instances, canonical_key=f"k{size}",
         support=len(instances), project_ids=["r"])
@@ -307,6 +309,46 @@ def test_filter_maximal_keeps_pattern_with_wider_coverage():
     q = _record_with(3, [("g1", (0, 1, 2)), ("g2", (0, 1, 2)), ("g3", (0, 1, 2))])
     kept = filter_maximal([p, q])
     assert p in kept and q in kept
+
+
+def test_filter_maximal_equal_size_with_more_edges_dominates():
+    loose = _record_with(3, [("g1", (0, 1, 2)), ("g2", (3, 4, 5))])
+    pinned = _record_with(3, [("g1", (0, 1, 2)), ("g2", (3, 4, 5)),
+                              ("g3", (0, 1, 2))], edges=1)
+    assert filter_maximal([loose, pinned]) == [pinned]
+
+
+def test_filter_maximal_equal_bulk_never_drops_either():
+    p = _record_with(3, [("g1", (0, 1, 2))], edges=1)
+    q = _record_with(3, [("g1", (0, 1, 2))], edges=1)
+    kept = filter_maximal([p, q])
+    assert len(kept) == 2 and kept[0] is p and kept[1] is q
+
+
+@st.composite
+def _filter_inputs(draw):
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        size = draw(st.integers(2, 4))
+        instances = draw(st.lists(
+            st.tuples(st.sampled_from(["g1", "g2", "g3"]),
+                      st.lists(st.integers(0, 5), min_size=size,
+                               max_size=size, unique=True).map(tuple)),
+            min_size=1, max_size=5))
+        records.append(_record_with(size, instances,
+                                    edges=draw(st.integers(0, 2))))
+    empty = _record_with(draw(st.integers(2, 4)), [],
+                         edges=draw(st.integers(0, 2)))
+    records.insert(draw(st.integers(0, len(records))), empty)
+    return records
+
+
+@given(_filter_inputs())
+@settings(max_examples=300, deadline=None)
+def test_filter_maximal_matches_pairwise_scan(records):
+    kept = filter_maximal(records)
+    expected = brute_force_filter_maximal(records)
+    assert [id(r) for r in kept] == [id(r) for r in expected]
 
 
 def test_filter_cross_project():
