@@ -3,12 +3,12 @@
 The tree mapper aligns the before/after syntax trees, the alignment is
 projected onto the two dependence graphs, changed nodes are marked, and the
 united graph keeps changed nodes plus one hop of mapped context, with map
-edges tying corresponding nodes together.
+edges tying corresponding nodes together. `change_graph_for_pair` runs those
+steps for one function pair, as `changeminer mine` does for every pair.
 """
 
-from changeminer import (Provenance, build_change_graph, build_fgpdg,
-                         build_import_table, extract_functions, map_asts,
-                         parse_source, project_mapping)
+from changeminer import (Provenance, build_import_table, change_graph_for_pair,
+                         extract_functions, parse_source)
 from changeminer.changegraph import hash_email
 
 BEFORE = """\
@@ -27,30 +27,20 @@ def collect_tags(posts):
 """
 
 
-def unit_and_graph(source):
+def unit_and_imports(source):
     tree = parse_source(source)
-    unit = extract_functions(tree, "demo.tags")[0]
-    return unit, build_fgpdg(unit, build_import_table(tree))
+    return extract_functions(tree, "demo.tags")[0], build_import_table(tree)
 
 
-unit_b, graph_b = unit_and_graph(BEFORE)
-unit_a, graph_a = unit_and_graph(AFTER)
-
-tree_mapping = map_asts(unit_b.body, unit_a.body)
-print(f"tree mapping: {len(tree_mapping)} node pairs")
-
-node_mapping = project_mapping(tree_mapping, graph_b, graph_a)
-print("projected graph-node pairs:")
-for before, after in node_mapping:
-    print(f"  {before.label}({before.concrete_name}) <-> "
-          f"{after.label}({after.concrete_name})")
+unit_b, imports_b = unit_and_imports(BEFORE)
+unit_a, imports_a = unit_and_imports(AFTER)
 
 prov = Provenance("demo-repo", "deadbeef", "cafebabe", "tags.py",
-                  "demo.tags.collect_tags", hash_email("dev@example.com"),
+                  unit_b.qualified_name, hash_email("dev@example.com"),
                   "use update instead of a loop")
-change = build_change_graph(graph_b, graph_a, node_mapping, prov)
+change = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov)
 
-print(f"\nchange graph: {len(change.nodes)} nodes, "
+print(f"change graph: {len(change.nodes)} nodes, "
       f"{len(change.map_edges)} map edges, {len(change.changed)} changed")
 names = {n.id: f"{n.version[:1]}:{n.label}({n.concrete_name or ''})"
          for n in change.nodes}
@@ -59,3 +49,6 @@ for b, a in change.map_edges:
     print(f" {marker} {names[b]} <~~> {names[a]}")
 print("(* = at least one endpoint changed; "
       "the add/update pair is the interesting one)")
+
+unchanged = change_graph_for_pair(unit_b, unit_b, imports_b, imports_b, prov)
+print(f"\nthe same revision on both sides gives {unchanged}")

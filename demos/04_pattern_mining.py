@@ -4,10 +4,10 @@ Builds three change graphs that all make the same edit in different code,
 mines the shared template, classifies it, and prints the Graphviz DOT view.
 """
 
-from changeminer import (MiningConfig, Provenance, build_change_graph,
-                         build_fgpdg, build_import_table, export_graph,
-                         extract_functions, map_asts, mine, parse_source,
-                         project_mapping, structural_category)
+from changeminer import (MiningConfig, Provenance, build_import_table,
+                         change_graph_for_pair, export_graph,
+                         extract_functions, mine, parse_source,
+                         structural_category)
 from changeminer.changegraph import hash_email
 from changeminer.history import record_from_graph
 from changeminer.mining import load_corpus
@@ -28,17 +28,14 @@ REVISIONS = [
 def change_record(repo, before, after):
     def build(source):
         tree = parse_source(source)
-        unit = extract_functions(tree, "mod")[0]
-        return unit, build_fgpdg(unit, build_import_table(tree))
+        return extract_functions(tree, "mod")[0], build_import_table(tree)
 
-    unit_b, graph_b = build(before)
-    unit_a, graph_a = build(after)
-    mapping = project_mapping(map_asts(unit_b.body, unit_a.body),
-                              graph_b, graph_a)
+    unit_b, imports_b = build(before)
+    unit_a, imports_a = build(after)
     prov = Provenance(repo, "c1" + repo, "c0" + repo, "mod.py",
                       "mod." + unit_b.qualified_name.split(".")[-1],
                       hash_email("dev@example.com"), "switch to deepcopy")
-    graph = build_change_graph(graph_b, graph_a, mapping, prov)
+    graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov)
     return record_from_graph(graph)
 
 

@@ -9,7 +9,8 @@ function-call pairs.
 from .changegraph import (ChangeGraph, Provenance, build_change_graph,
                           mark_changed)
 from .history import (ChangeGraphStore, CommitFilter, RepoSpec,
-                      RepoUnavailable, mine_repository, read_repos_file)
+                      RepoUnavailable, change_graph_for_pair, mine_repository,
+                      read_repos_file)
 from .mapping import MapperConfig, TreeMapping, dice, map_asts, project_mapping
 from .mining import (MiningConfig, PatternGraph, PatternRecord, PatternSet,
                      canonical_key, collect_seeds, exact_isomorphic, extend,
@@ -30,9 +31,10 @@ __all__ = [
     "Provenance", "RepoSpec", "RepoUnavailable", "StructuralCategory",
     "TreeMapping", "UnsupportedConstruct", "build_change_graph",
     "build_fgpdg", "build_import_table", "call_origin", "canonical_key",
-    "collect_seeds", "dice", "exact_isomorphic", "export_graph",
-    "extend", "extract_functions", "filter_cross_project", "filter_maximal",
-    "map_asts", "mark_changed", "mine", "mine_repository", "parse_source",
-    "project_mapping", "read_repos_file", "render_html", "resolve_callee",
-    "stats_report", "structural_category", "write_pattern_set",
+    "change_graph_for_pair", "collect_seeds", "dice", "exact_isomorphic",
+    "export_graph", "extend", "extract_functions", "filter_cross_project",
+    "filter_maximal", "map_asts", "mark_changed", "mine", "mine_repository",
+    "parse_source", "project_mapping", "read_repos_file", "render_html",
+    "resolve_callee", "stats_report", "structural_category",
+    "write_pattern_set",
 ]

@@ -11,6 +11,7 @@ import json
 import logging
 import re
 import subprocess
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,13 +20,17 @@ from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
                           build_change_graph, hash_email)
 from .mapping import MapperConfig, map_asts, project_mapping
 from .pdg import UnsupportedConstruct, build_fgpdg
-from .source import (FunctionUnit, build_import_table, extract_functions,
-                     parse_source)
+from .source import (FunctionUnit, ImportTable, build_import_table,
+                     extract_functions, parse_source, same_tree)
 
 log = logging.getLogger(__name__)
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
+# Per-repository counters in the store manifest; each is a sum over commits,
+# so it does not depend on the worker count.
+REPO_COUNTERS = ("function_pairs", "pairs_unchanged", "unsupported",
+                 "parse_failures", "graphs")
 
 
 class RepoUnavailable(Exception):
@@ -209,11 +214,14 @@ def _function_source(text: str, unit: FunctionUnit) -> dict:
 
 def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
                       mapper_cfg: MapperConfig | None = None,
-                      context_hops: int = 1) -> tuple[list[dict], list[str], set[str]]:
-    """Records, warnings and module roots contributed by one commit."""
+                      context_hops: int = 1
+                      ) -> tuple[list[dict], list[str], set[str], Counter]:
+    """Records, warnings, module roots and REPO_COUNTERS of one commit."""
     records: list[dict] = []
     warnings: list[str] = []
     roots: set[str] = set()
+    counts: Counter = Counter()
+    author_hash = hash_email(commit.author_email)
     for before_text, after_text, path in pair_modified_files(commit, filt):
         module = module_path_for(path)
         roots.add(module.split(".")[0])
@@ -222,23 +230,23 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
             tree_a = parse_source(after_text)
         except SyntaxError as exc:
             warnings.append(f"{commit.hash[:8]} {path}: parse failure ({exc.msg})")
+            counts["parse_failures"] += 1
             continue
         imports_b = build_import_table(tree_b)
         imports_a = build_import_table(tree_a)
         units_b = extract_functions(tree_b, module)
         units_a = extract_functions(tree_a, module)
         for unit_b, unit_a in match_functions(units_b, units_a):
-            if not (unit_b.supported and unit_a.supported):
-                warnings.append(
-                    f"{commit.hash[:8]} {path}: skipped unsupported function "
-                    f"{unit_b.qualified_name}")
-                continue
+            counts["function_pairs"] += 1
+            prov = Provenance(spec.repo_id, commit.hash, commit.parents[0], path,
+                              unit_b.qualified_name, author_hash, commit.message)
             try:
-                graph = _change_graph_for_pair(unit_b, unit_a, imports_b,
-                                               imports_a, mapper_cfg,
-                                               context_hops, spec, commit, path)
-            except UnsupportedConstruct as exc:
+                graph = change_graph_for_pair(unit_b, unit_a, imports_b,
+                                              imports_a, prov, mapper_cfg,
+                                              context_hops, counts)
+            except (UnsupportedFunction, UnsupportedConstruct) as exc:
                 warnings.append(f"{commit.hash[:8]} {path}: {exc}")
+                counts["unsupported"] += 1
                 continue
             if graph is None:
                 continue
@@ -247,24 +255,54 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
                 AFTER: _function_source(after_text, unit_a),
             }
             records.append(record_from_graph(graph))
-    return records, warnings, roots
+    counts["graphs"] = len(records)
+    return records, warnings, roots, counts
 
 
-def _change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, mapper_cfg,
-                           context_hops, spec, commit, path) -> ChangeGraph | None:
+class UnsupportedFunction(Exception):
+    """A changed function pair holds syntax the dependence graph cannot model."""
+
+    def __init__(self, qualified_name: str):
+        super().__init__(f"skipped unsupported function {qualified_name}")
+
+
+def unchanged_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
+                   imports_b: ImportTable, imports_a: ImportTable) -> bool:
+    """True when both revisions must build the same dependence graph.
+
+    The normalized bodies are equal and every name in them is bound alike by
+    the two import tables (the graph builder reads imports only to resolve
+    names), so a change elsewhere in the file does not count.
+    """
+    if not same_tree(unit_b.body, unit_a.body):
+        return False
+    return all(imports_b.aliases.get(node.label) == imports_a.aliases.get(node.label)
+               for node in unit_b.body.preorder() if node.kind == "Name")
+
+
+def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
+                          imports_b: ImportTable, imports_a: ImportTable,
+                          prov: Provenance,
+                          mapper_cfg: MapperConfig | None = None,
+                          context_hops: int = 1,
+                          counts: Counter | None = None) -> ChangeGraph | None:
+    """Change graph of one matched function pair, or None when nothing changed.
+
+    Pairs that cannot differ (see ``unchanged_pair``) skip the graph layers
+    and are counted under ``pairs_unchanged`` in ``counts`` when given.
+    Raises UnsupportedFunction or UnsupportedConstruct for a changed pair
+    that cannot be modelled.
+    """
+    if unchanged_pair(unit_b, unit_a, imports_b, imports_a):
+        if counts is not None:
+            counts["pairs_unchanged"] += 1
+        return None
+    if not (unit_b.supported and unit_a.supported):
+        raise UnsupportedFunction(unit_b.qualified_name)
     g_b = build_fgpdg(unit_b, imports_b)
     g_a = build_fgpdg(unit_a, imports_a)
     tm = map_asts(unit_b.body, unit_a.body, mapper_cfg)
     nm = project_mapping(tm, g_b, g_a)
-    prov = Provenance(
-        repo_id=spec.repo_id,
-        commit_hash=commit.hash,
-        parent_hash=commit.parents[0],
-        file_path=path,
-        function=unit_b.qualified_name,
-        author_email_hash=hash_email(commit.author_email),
-        commit_message=commit.message,
-    )
     return build_change_graph(g_b, g_a, nm, prov, context_hops)
 
 
@@ -358,12 +396,12 @@ class ChangeGraphStore:
 # ---------------------------------------------------------------------------
 
 
-def _commit_job(args) -> tuple[list[dict], list[str], set[str]]:
+def _commit_job(args) -> tuple[list[dict], list[str], set[str], Counter]:
     spec, commit, filt, mapper_cfg, context_hops = args
     try:
         return graphs_for_commit(spec, commit, filt, mapper_cfg, context_hops)
     except subprocess.CalledProcessError as exc:
-        return [], [f"{commit.hash[:8]}: git failure ({exc})"], set()
+        return [], [f"{commit.hash[:8]}: git failure ({exc})"], set(), Counter()
 
 
 def mine_repository(spec: RepoSpec, filt: CommitFilter,
@@ -378,26 +416,27 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
     job_args = [(RepoSpec(repo_path, spec.repo_id, spec.domain_tag), c, filt,
                  mapper_cfg, context_hops) for c in commits]
 
-    count = 0
     warnings: list[str] = []
     roots: set[str] = set()
+    counts: Counter = Counter()
     if jobs > 1 and len(job_args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_commit_job, job_args, chunksize=4))
     else:
         results = [_commit_job(args) for args in job_args]
-    for records, commit_warnings, commit_roots in results:
+    for records, commit_warnings, commit_roots, commit_counts in results:
         for record in records:
             store.append(record)
-            count += 1
         warnings.extend(commit_warnings)
         roots |= commit_roots
+        counts.update(commit_counts)
     for warning in warnings:
         log.warning("%s: %s", spec.repo_id, warning)
-    return {
+    info = {
         "url": spec.url_or_path,
         "domain_tag": spec.domain_tag,
-        "graphs": count,
         "project_modules": sorted(roots),
         "warnings": len(warnings),
     }
+    info.update((name, counts[name]) for name in REPO_COUNTERS)
+    return info

@@ -62,35 +62,32 @@ class TreeMapping:
 
 
 class _TreeIndex:
-    """Per-tree tables: preorder index, height, descendants, fingerprints."""
+    """Per-tree tables: preorder index, height, fingerprints."""
 
     def __init__(self, root: AstNode):
         self.root = root
         self.order: list[AstNode] = []
         self.index: dict[int, int] = {}
         self.height: dict[int, int] = {}
-        self.desc_count: dict[int, int] = {}
         self.fingerprint: dict[int, str] = {}
         self._build(root)
 
     def _build(self, root: AstNode) -> None:
-        def visit(node: AstNode) -> tuple[int, int, str]:
+        def visit(node: AstNode) -> tuple[int, str]:
             self.index[id(node)] = len(self.order)
             self.order.append(node)
-            height, descendants = 1, 0
+            height = 1
             child_fps = []
             for child in node.children:
-                c_height, c_desc, c_fp = visit(child)
+                c_height, c_fp = visit(child)
                 height = max(height, c_height + 1)
-                descendants += c_desc + 1
                 child_fps.append(c_fp)
             digest = hashlib.sha1(
                 "|".join([node.kind, node.label] + child_fps).encode()
             ).hexdigest()
             self.height[id(node)] = height
-            self.desc_count[id(node)] = descendants
             self.fingerprint[id(node)] = digest
-            return height, descendants, digest
+            return height, digest
 
         visit(root)
 

@@ -579,11 +579,13 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
                 children = extend(pattern, pattern_instances, corpus_index, cfg)
                 stack.extend(reversed(children))
 
+    # Project filter first: it is cheaper, and a pattern that dominates
+    # another binds all of its change graphs, so spans all of its projects.
     result = collected
-    if not cfg.keep_subpatterns:
-        result = filter_maximal(result)
     if cfg.cross_project_only:
         result = filter_cross_project(result)
+    if not cfg.keep_subpatterns:
+        result = filter_maximal(result)
     result.sort(key=lambda r: (-r.support, -r.size, r.canonical_key))
     return PatternSet(result, warnings)
 

@@ -31,7 +31,7 @@ class StructuralCategory(str, Enum):
     UNKNOWN = "UNKNOWN"
 
 
-def call_origin(label: str, imports=None,
+def call_origin(label: str,
                 project_modules: frozenset[str] | set[str] = frozenset()) -> Origin:
     """Origin of a resolved callee label.
 

@@ -184,9 +184,16 @@ class _Builder:
     def _stmt_augassign(self, stmt: AstNode) -> None:
         target, value = stmt.children
         op = self._node(OPERATION, "binop", stmt.label[:-1], stmt)
-        self._edges_into(self.eval_expr(target), op, "ref")
+        target_nodes = self.eval_expr(target)
+        self._edges_into(target_nodes, op, "ref")
         self._edges_into(self.eval_expr(value), op, "ref")
-        self.assign_to(target, [op])
+        if target.kind in ("Attribute", "Subscript"):
+            # assign_to would evaluate the target again: a second node with
+            # the same syntax origin, which the mapping can never pair.
+            for node in target_nodes:
+                self._data_edge(op, node, "def")
+        else:
+            self.assign_to(target, [op])
 
     def _stmt_return(self, stmt: AstNode) -> None:
         for child in stmt.children:

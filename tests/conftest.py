@@ -2,10 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from changeminer.changegraph import Provenance, build_change_graph, hash_email
-from changeminer.history import record_from_graph
-from changeminer.mapping import map_asts, project_mapping
-from changeminer.pdg import build_fgpdg
+from changeminer.changegraph import Provenance, hash_email
+from changeminer.history import change_graph_for_pair, record_from_graph
 from changeminer.source import build_import_table, extract_functions, parse_source
 
 FIG2_BEFORE = """\
@@ -35,13 +33,11 @@ def change_graph_for(before_src: str, after_src: str, repo: str = "repo",
                      context_hops: int = 1):
     unit_b, imports_b = build_unit(before_src)
     unit_a, imports_a = build_unit(after_src)
-    g_b = build_fgpdg(unit_b, imports_b)
-    g_a = build_fgpdg(unit_a, imports_a)
-    nm = project_mapping(map_asts(unit_b.body, unit_a.body), g_b, g_a)
     prov = Provenance(repo, commit, commit + "p", path,
                       "m." + unit_b.qualified_name.split(".", 1)[-1],
                       hash_email("dev@example.com"), "change")
-    return build_change_graph(g_b, g_a, nm, prov, context_hops)
+    return change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov,
+                                 context_hops=context_hops)
 
 
 def change_record(before_src: str, after_src: str, repo: str = "repo",

@@ -170,6 +170,10 @@ def test_criterion_5_determinism_across_worker_counts(planted, tmp_path):
         records1 = (runs[1][0] / ChangeGraphStore.RECORDS).read_bytes()
         records8 = (runs[8][0] / ChangeGraphStore.RECORDS).read_bytes()
         assert records1 == records8
+        repos1 = ChangeGraphStore(runs[1][0]).manifest()["repos"]
+        repos8 = ChangeGraphStore(runs[8][0]).manifest()["repos"]
+        assert repos1 == repos8
+        assert sum(info["pairs_unchanged"] for info in repos1.values()) > 0
 
         entries1 = load_pattern_dir(runs[1][1])
         entries8 = load_pattern_dir(runs[8][1])

@@ -1,19 +1,31 @@
 from __future__ import annotations
 
-from changeminer.changegraph import build_change_graph, mark_changed
+import sysconfig
+from pathlib import Path
+
+import pytest
+
+from changeminer.changegraph import Provenance, build_change_graph, mark_changed
+from changeminer.history import match_functions, unchanged_pair
 from changeminer.mapping import map_asts, project_mapping
-from changeminer.pdg import build_fgpdg
+from changeminer.pdg import UnsupportedConstruct, build_fgpdg
+from changeminer.source import build_import_table, extract_functions, parse_source
 
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for
 
+_PROV = Provenance("repo", "c1", "c0", "a.py", "m.f", "x", "")
 
-def pipeline(before_src: str, after_src: str):
-    unit_b, imports_b = build_unit(before_src)
-    unit_a, imports_a = build_unit(after_src)
+
+def unit_pipeline(unit_b, imports_b, unit_a, imports_a):
+    """The graph layers for one pair, without the unchanged-pair skip."""
     g_b = build_fgpdg(unit_b, imports_b)
     g_a = build_fgpdg(unit_a, imports_a)
     nm = project_mapping(map_asts(unit_b.body, unit_a.body), g_b, g_a)
     return g_b, g_a, nm
+
+
+def pipeline(before_src: str, after_src: str):
+    return unit_pipeline(*build_unit(before_src), *build_unit(after_src))
 
 
 def test_identical_revisions_mark_nothing_changed():
@@ -26,6 +38,12 @@ def test_identical_revisions_mark_nothing_changed():
 def test_identical_revisions_build_no_change_graph():
     src = "def f(a):\n    b = g(a)\n    return b\n"
     assert change_graph_for(src, src) is None
+
+
+@pytest.mark.parametrize("statement", ["obj.attr += 1", "seq[-1] += x"])
+def test_augmented_assignment_to_attribute_or_item_diffs_to_nothing(statement):
+    src = f"def f(obj, seq, x):\n    {statement}\n"
+    assert build_change_graph(*pipeline(src, src), _PROV) is None
 
 
 def test_whitespace_only_commit_builds_no_change_graph():
@@ -114,3 +132,62 @@ def test_node_count_bounded_by_inputs():
         g_b, g_a, nm,
         change_graph_for(FIG2_BEFORE, FIG2_AFTER).provenance)
     assert len(graph.nodes) <= len(g_b.nodes) + len(g_a.nodes)
+
+
+def _units_of(path: Path):
+    tree = parse_source(path.read_text(encoding="utf-8"))
+    return extract_functions(tree, "m"), build_import_table(tree)
+
+
+def _modelled(unit_b, imports_b, unit_a, imports_a):
+    if not (unit_b.supported and unit_a.supported):
+        return None
+    try:
+        return unit_pipeline(unit_b, imports_b, unit_a, imports_a)
+    except UnsupportedConstruct:
+        return None
+
+
+def test_stdlib_functions_diffed_against_themselves_build_no_change_graph():
+    paths = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))[:10]
+    checked = 0
+    for path in paths:
+        units_b, imports_b = _units_of(path)
+        units_a, imports_a = _units_of(path)
+        for unit_b, unit_a in zip(units_b, units_a):
+            layers = _modelled(unit_b, imports_b, unit_a, imports_a)
+            if layers is None:
+                continue
+            checked += 1
+            assert build_change_graph(*layers, _PROV) is None, \
+                f"{path.name}: {unit_b.qualified_name}"
+    assert checked > 100
+
+
+_PYENV = Path.home() / ".pyenv" / "versions"
+_OLD_STDLIB = _PYENV / "3.11.7" / "lib" / "python3.11"
+_NEW_STDLIB = _PYENV / "3.12.1" / "lib" / "python3.12"
+
+
+@pytest.mark.skipif(not (_OLD_STDLIB.is_dir() and _NEW_STDLIB.is_dir()),
+                    reason="needs the 3.11.7 and 3.12.1 standard libraries")
+def test_unchanged_pair_skip_is_exact_on_stdlib_revisions():
+    names = sorted(p.name for p in _OLD_STDLIB.glob("*.py")
+                   if (_NEW_STDLIB / p.name).is_file())[:10]
+    skipped = 0
+    for name in names:
+        try:
+            units_b, imports_b = _units_of(_OLD_STDLIB / name)
+            units_a, imports_a = _units_of(_NEW_STDLIB / name)
+        except SyntaxError:
+            continue
+        for unit_b, unit_a in match_functions(units_b, units_a):
+            if not unchanged_pair(unit_b, unit_a, imports_b, imports_a):
+                continue
+            layers = _modelled(unit_b, imports_b, unit_a, imports_a)
+            if layers is None:
+                continue
+            skipped += 1
+            assert build_change_graph(*layers, _PROV) is None, \
+                f"{name}: {unit_b.qualified_name}"
+    assert skipped > 100

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from changeminer.changegraph import Provenance
 from changeminer.history import (ChangeGraphStore, CommitFilter, CommitInfo,
-                                 RepoSpec, RepoUnavailable, list_commits,
-                                 match_functions, mine_repository,
-                                 module_path_for, pair_modified_files,
-                                 read_repos_file)
-from changeminer.source import extract_functions, parse_source
+                                 RepoSpec, RepoUnavailable,
+                                 UnsupportedFunction, change_graph_for_pair,
+                                 list_commits, match_functions,
+                                 mine_repository, module_path_for,
+                                 pair_modified_files, read_repos_file)
+from changeminer.source import (build_import_table, extract_functions,
+                                parse_source)
 
 from gitrepos import commit_files, git, init_repo, merge_branches
 
@@ -152,6 +157,72 @@ def test_unsupported_functions_skipped(tmp_path):
     store, info = mine_into(tmp_path, repo)
     assert info["graphs"] == 0
     assert info["warnings"] >= 1
+
+
+def test_unchanged_unsupported_function_is_skipped_without_warning(tmp_path):
+    gen = "def gen():\n    yield one()\n\n"
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": gen + "def f():\n    return a(1)\n"}, "initial")
+    commit_files(repo, {"mod.py": gen + "def f():\n    return b(1)\n"}, "edit f")
+    store, info = mine_into(tmp_path, repo)
+    assert [r["provenance"]["function"] for r in store.iter_records()] == ["mod.f"]
+    assert info["warnings"] == 0
+    assert (info["function_pairs"], info["pairs_unchanged"], info["unsupported"],
+            info["parse_failures"], info["graphs"]) == (2, 1, 0, 0, 1)
+
+
+def test_manifest_counts_unsupported_and_parse_failures(tmp_path):
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"gen.py": "def gen():\n    yield one()\n",
+                        "bad.py": "def f():\n    return 1\n"}, "initial")
+    commit_files(repo, {"gen.py": "def gen():\n    yield two()\n",
+                        "bad.py": "def f(:\n"}, "break things")
+    store, info = mine_into(tmp_path, repo)
+    assert info["warnings"] == 2
+    assert (info["function_pairs"], info["pairs_unchanged"], info["unsupported"],
+            info["parse_failures"], info["graphs"]) == (1, 0, 1, 1, 0)
+    assert store.manifest()["repos"]["r1"] == info
+
+
+def _pair(before: str, after: str):
+    tree_b, tree_a = parse_source(before), parse_source(after)
+    unit_b = extract_functions(tree_b, "m")[0]
+    unit_a = extract_functions(tree_a, "m")[0]
+    return unit_b, unit_a, build_import_table(tree_b), build_import_table(tree_a)
+
+
+_PROV = Provenance("r1", "c1", "c0", "m.py", "m.f", "x", "")
+_BODY = "def f(p):\n    return isdir(p)\n"
+
+
+def test_pair_with_unrelated_import_change_is_skipped():
+    counts = Counter()
+    unit_b, unit_a, imports_b, imports_a = _pair(
+        "from nt import _isdir as isdir\n" + _BODY,
+        "import os\nfrom nt import _isdir as isdir\n" + _BODY)
+    assert change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV,
+                                 counts=counts) is None
+    assert counts == Counter(pairs_unchanged=1)
+
+
+def test_pair_whose_used_name_is_rebound_by_an_import_is_mined():
+    counts = Counter()
+    unit_b, unit_a, imports_b, imports_a = _pair(
+        "from nt import _isdir as isdir\n" + _BODY,
+        "from nt import _path_isdir as isdir\n" + _BODY)
+    graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV,
+                                  counts=counts)
+    assert graph is not None and counts == Counter()
+    labels = {n.id: n.label for n in graph.nodes}
+    assert ("nt._isdir", "nt._path_isdir") in {
+        (labels[b], labels[a]) for b, a in graph.map_edges}
+
+
+def test_changed_unsupported_pair_raises():
+    unit_b, unit_a, imports_b, imports_a = _pair(
+        "def gen():\n    yield one()\n", "def gen():\n    yield two()\n")
+    with pytest.raises(UnsupportedFunction, match="skipped unsupported function m.gen"):
+        change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
 
 
 def test_rerun_writes_identical_store(tmp_path, copy_repo):

@@ -351,6 +351,25 @@ def test_filter_maximal_matches_pairwise_scan(records):
     assert [id(r) for r in kept] == [id(r) for r in expected]
 
 
+@st.composite
+def _records_with_projects(draw):
+    """Filter inputs whose project ids are the repos of their instances."""
+    records = draw(_filter_inputs())
+    repo_of = {gid: draw(st.sampled_from(["ra", "rb"]))
+               for gid in ("g1", "g2", "g3")}
+    for record in records:
+        record.project_ids = sorted({repo_of[gid] for gid, _ in record.instances})
+    return records
+
+
+@given(_records_with_projects())
+@settings(max_examples=300, deadline=None)
+def test_cross_project_filter_commutes_with_maximality_filter(records):
+    projects_first = filter_maximal(filter_cross_project(records))
+    maximal_first = filter_cross_project(filter_maximal(records))
+    assert [id(r) for r in projects_first] == [id(r) for r in maximal_first]
+
+
 def test_filter_cross_project():
     multi = _record_with(2, [("g1", (0, 1))])
     multi.project_ids = ["a", "b"]

@@ -186,3 +186,21 @@ def test_unsupported_construct_raises_defensively():
 def test_isolated_data_nodes_dropped():
     graph = graph_of('def f():\n    """doc"""\n    g()\n')
     assert [n.label for n in graph.nodes] == ["g"]
+
+
+@pytest.mark.parametrize("statement", ["obj.attr += 1", "seq[-1] += x",
+                                       "total += x"])
+def test_augmented_assignment_target_yields_one_node(statement):
+    graph = graph_of(f"def f(obj, seq, total, x):\n    {statement}\n")
+    owners: dict[int, set[int]] = {}
+    for node in graph.nodes:
+        for origin in node.origins:
+            owners.setdefault(id(origin), set()).add(node.id)
+    assert all(len(nodes) == 1 for nodes in owners.values())
+    binop = find_node(graph, subkind="binop")
+    targets = [node for node in graph.nodes
+               if any(o.parent.kind == "AugAssign" and o is o.parent.children[0]
+                      for o in node.origins)]
+    assert len(targets) == 1
+    assert ("Data", "ref") in edges_between(graph, targets[0], binop)
+    assert ("Data", "def") in edges_between(graph, binop, targets[0])
