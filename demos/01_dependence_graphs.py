@@ -6,7 +6,7 @@ values flow (def, ref, para, recv, cond, qual); control edges connect a
 control node to the operations it dominates.
 """
 
-from changeminer import build_fgpdg, build_import_table, extract_functions, parse_source
+from changeminer import build_fgpdg, build_import_table, extract_functions, parse_module
 
 SOURCE = """\
 import os
@@ -20,7 +20,7 @@ def read_settings(folder, name):
     return None
 """
 
-tree = parse_source(SOURCE)
+tree = parse_module(SOURCE)
 imports = build_import_table(tree)
 unit = extract_functions(tree, "demo.settings")[0]
 print(f"function: {unit.qualified_name}  params: {unit.params}")

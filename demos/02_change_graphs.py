@@ -8,7 +8,7 @@ steps for one function pair, as `changeminer mine` does for every pair.
 """
 
 from changeminer import (Provenance, build_import_table, change_graph_for_pair,
-                         extract_functions, parse_source)
+                         extract_functions, parse_module)
 from changeminer.changegraph import hash_email
 
 BEFORE = """\
@@ -28,7 +28,7 @@ def collect_tags(posts):
 
 
 def unit_and_imports(source):
-    tree = parse_source(source)
+    tree = parse_module(source)
     return extract_functions(tree, "demo.tags")[0], build_import_table(tree)
 
 

@@ -6,7 +6,7 @@ mines the shared template, classifies it, and prints the Graphviz DOT view.
 
 from changeminer import (MiningConfig, Provenance, build_import_table,
                          change_graph_for_pair, export_graph,
-                         extract_functions, mine, parse_source,
+                         extract_functions, mine, parse_module,
                          structural_category)
 from changeminer.changegraph import hash_email
 from changeminer.history import record_from_graph
@@ -27,7 +27,7 @@ REVISIONS = [
 
 def change_record(repo, before, after):
     def build(source):
-        tree = parse_source(source)
+        tree = parse_module(source)
         return extract_functions(tree, "mod")[0], build_import_table(tree)
 
     unit_b, imports_b = build(before)

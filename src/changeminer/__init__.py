@@ -20,7 +20,7 @@ from .pdg import (FgEdge, FgNode, Fgpdg, UnsupportedConstruct, build_fgpdg,
                   resolve_callee)
 from .report import export_graph, render_html, stats_report, write_pattern_set
 from .source import (AstNode, FunctionUnit, ImportTable, build_import_table,
-                     extract_functions, parse_source)
+                     extract_functions, parse_module, parse_source)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "change_graph_for_pair", "collect_seeds", "dice", "exact_isomorphic",
     "export_graph", "extend", "extract_functions", "filter_cross_project",
     "filter_maximal", "map_asts", "mark_changed", "mine", "mine_repository",
-    "parse_source", "project_mapping", "read_repos_file", "render_html",
-    "resolve_callee", "stats_report", "structural_category",
+    "parse_module", "parse_source", "project_mapping", "read_repos_file",
+    "render_html", "resolve_callee", "stats_report", "structural_category",
     "write_pattern_set",
 ]

@@ -7,6 +7,7 @@ does not depend on worker count.
 
 from __future__ import annotations
 
+import ast
 import json
 import logging
 import re
@@ -21,7 +22,11 @@ from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
 from .mapping import MapperConfig, map_asts, project_mapping
 from .pdg import UnsupportedConstruct, build_fgpdg
 from .source import (FunctionUnit, ImportTable, build_import_table,
-                     extract_functions, parse_source, same_tree)
+                     extract_functions, parse_module, same_tree)
+# Mining no longer calls parse_source, but the name stays importable from
+# here: perfbench/child.py wraps each layer where history looks it up, and
+# its table still lists history.parse_source.
+from .source import parse_source  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -206,10 +211,9 @@ def module_path_for(file_path: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _function_source(text: str, unit: FunctionUnit) -> dict:
-    lines = text.splitlines()
-    start, _, end, _ = unit.span
-    return {"text": "\n".join(lines[start - 1:end]), "start_line": start}
+def _function_source(unit: FunctionUnit) -> dict:
+    return {"text": "\n".join(unit.source_lines()),
+            "start_line": unit.line_range[0]}
 
 
 def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
@@ -223,19 +227,19 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
     counts: Counter = Counter()
     author_hash = hash_email(commit.author_email)
     for before_text, after_text, path in pair_modified_files(commit, filt):
-        module = module_path_for(path)
-        roots.add(module.split(".")[0])
+        module_path = module_path_for(path)
+        roots.add(module_path.split(".")[0])
         try:
-            tree_b = parse_source(before_text)
-            tree_a = parse_source(after_text)
+            module_b = parse_module(before_text)
+            module_a = parse_module(after_text)
         except SyntaxError as exc:
             warnings.append(f"{commit.hash[:8]} {path}: parse failure ({exc.msg})")
             counts["parse_failures"] += 1
             continue
-        imports_b = build_import_table(tree_b)
-        imports_a = build_import_table(tree_a)
-        units_b = extract_functions(tree_b, module)
-        units_a = extract_functions(tree_a, module)
+        imports_b = build_import_table(module_b)
+        imports_a = build_import_table(module_a)
+        units_b = extract_functions(module_b, module_path)
+        units_a = extract_functions(module_a, module_path)
         for unit_b, unit_a in match_functions(units_b, units_a):
             counts["function_pairs"] += 1
             prov = Provenance(spec.repo_id, commit.hash, commit.parents[0], path,
@@ -250,10 +254,8 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
                 continue
             if graph is None:
                 continue
-            graph.code = {
-                BEFORE: _function_source(before_text, unit_b),
-                AFTER: _function_source(after_text, unit_a),
-            }
+            graph.code = {BEFORE: _function_source(unit_b),
+                          AFTER: _function_source(unit_a)}
             records.append(record_from_graph(graph))
     counts["graphs"] = len(records)
     return records, warnings, roots, counts
@@ -270,14 +272,41 @@ def unchanged_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
                    imports_b: ImportTable, imports_a: ImportTable) -> bool:
     """True when both revisions must build the same dependence graph.
 
-    The normalized bodies are equal and every name in them is bound alike by
-    the two import tables (the graph builder reads imports only to resolve
-    names), so a change elsewhere in the file does not count.
+    The normalized bodies are equal and no name in them is bound differently
+    by the two import tables (the graph builder reads imports only to resolve
+    names), so a change elsewhere in the file does not count. The text is
+    tried first, so most unchanged pairs are never converted.
     """
+    rebound = _rebound_names(imports_b, imports_a)
+    return (_same_def_text(unit_b, unit_a, rebound)
+            or _same_body(unit_b, unit_a, rebound))
+
+
+def _rebound_names(imports_b: ImportTable, imports_a: ImportTable) -> set[str]:
+    before, after = imports_b.aliases, imports_a.aliases
+    return {name for name in before.keys() | after.keys()
+            if before.get(name) != after.get(name)}
+
+
+def _same_def_text(unit_b: FunctionUnit, unit_a: FunctionUnit,
+                   rebound: set[str]) -> bool:
+    """Sufficient for ``_same_body``, read from the text and the raw def.
+
+    Equal def lines parse to equal raw subtrees, so to equal bodies, and the
+    names of the raw def include every name of the pruned body.
+    """
+    if unit_b.source_lines() != unit_a.source_lines():
+        return False
+    return not (rebound and any(isinstance(node, ast.Name) and node.id in rebound
+                                for node in ast.walk(unit_b.node)))
+
+
+def _same_body(unit_b: FunctionUnit, unit_a: FunctionUnit,
+               rebound: set[str]) -> bool:
     if not same_tree(unit_b.body, unit_a.body):
         return False
-    return all(imports_b.aliases.get(node.label) == imports_a.aliases.get(node.label)
-               for node in unit_b.body.preorder() if node.kind == "Name")
+    return not any(node.kind == "Name" and node.label in rebound
+                   for node in unit_b.body.preorder())
 
 
 def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,

@@ -62,12 +62,17 @@ class TreeMapping:
 
 
 class _TreeIndex:
-    """Per-tree tables: preorder index, height, fingerprints."""
+    """Per-tree tables: preorder index and end, height, fingerprints.
+
+    A node's descendants are ``order[index + 1:end]``, so "is a descendant
+    of" is a range test on preorder indices (as in GumTree).
+    """
 
     def __init__(self, root: AstNode):
         self.root = root
         self.order: list[AstNode] = []
         self.index: dict[int, int] = {}
+        self.end: dict[int, int] = {}
         self.height: dict[int, int] = {}
         self.fingerprint: dict[int, str] = {}
         self._build(root)
@@ -85,39 +90,36 @@ class _TreeIndex:
             digest = hashlib.sha1(
                 "|".join([node.kind, node.label] + child_fps).encode()
             ).hexdigest()
+            self.end[id(node)] = len(self.order)
             self.height[id(node)] = height
             self.fingerprint[id(node)] = digest
             return height, digest
 
         visit(root)
 
-    def descendants(self, node: AstNode):
-        stack = list(node.children)
-        while stack:
-            n = stack.pop()
-            yield n
-            stack.extend(n.children)
+    def descendants(self, node: AstNode) -> list[AstNode]:
+        """The proper descendants of ``node``, in preorder."""
+        return self.order[self.index[id(node)] + 1:self.end[id(node)]]
 
 
-def dice(n1: AstNode, n2: AstNode, partial: TreeMapping) -> float:
-    """Descendant-overlap ratio: 2*|mapped pairs under (n1, n2)| / (|d1|+|d2|)."""
-    d1 = set()
-    stack = list(n1.children)
-    while stack:
-        n = stack.pop()
-        d1.add(id(n))
-        stack.extend(n.children)
-    d2_total = 0
+def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
+         t1: _TreeIndex | None = None, t2: _TreeIndex | None = None) -> float:
+    """Descendant-overlap ratio: 2*|mapped pairs under (n1, n2)| / (|d1|+|d2|).
+
+    ``t1`` and ``t2`` index trees that hold n1 and n2; without them, n1 and
+    n2 are indexed as roots of their own trees.
+    """
+    t1 = t1 if t1 is not None else _TreeIndex(n1)
+    t2 = t2 if t2 is not None else _TreeIndex(n2)
+    first, end = t1.index[id(n1)] + 1, t1.end[id(n1)]
+    d2 = t2.descendants(n2)
     mapped = 0
-    stack = list(n2.children)
-    while stack:
-        n = stack.pop()
-        d2_total += 1
+    for n in d2:
         counterpart = partial.before_of(n)
-        if counterpart is not None and id(counterpart) in d1:
+        if counterpart is not None and \
+                first <= t1.index.get(id(counterpart), -1) < end:
             mapped += 1
-        stack.extend(n.children)
-    denom = len(d1) + d2_total
+    denom = (end - first) + len(d2)
     if denom == 0:
         return 0.0
     return 2.0 * mapped / denom
@@ -198,7 +200,7 @@ def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
         candidates = _container_candidates(node_b, t1, t2, mapping)
         best = None
         for node_a in candidates:
-            score = dice(node_b, node_a, mapping)
+            score = dice(node_b, node_a, mapping, t1, t2)
             if score < cfg.dice_threshold:
                 continue
             distance = abs(t1.index[id(node_b)] - t2.index[id(node_a)])

@@ -496,15 +496,15 @@ def _consistent(i: int, j: int, assigned: dict[int, int], p_adj, q_adj) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _has_universal_change(instances: list[Instance], corpus_index: dict,
-                          size: int) -> bool:
+def universally_changed(instances: list[Instance], corpus_index: dict,
+                        size: int):
+    """Pattern positions bound to a changed node in every instance, in order."""
     if not instances:
-        return False
+        return
     for idx in range(size):
         if all(binding[idx] in corpus_index[gid].changed
                for gid, binding in instances):
-            return True
-    return False
+            yield idx
 
 
 def _dedup_instances(pattern: PatternGraph, instances: list[Instance]) -> list[Instance]:
@@ -565,8 +565,8 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
             bucket.append(pattern)
             support = support_of(pattern, pattern_instances)
             if (pattern.size >= cfg.min_size and support >= cfg.min_freq
-                    and _has_universal_change(pattern_instances, corpus_index,
-                                              pattern.size)):
+                    and next(universally_changed(pattern_instances, corpus_index,
+                                                 pattern.size), None) is not None):
                 collected.append(PatternRecord(
                     graph=pattern,
                     instances=_dedup_instances(pattern, pattern_instances),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .mining import CorpusGraph, Instance, PatternGraph
+from .mining import CorpusGraph, Instance, PatternGraph, universally_changed
 from .namelists import BUILTIN_NAMES, RECEIVER_METHOD_MODULES, STDLIB_MODULES
 
 
@@ -69,16 +69,6 @@ def _origin_and_root(label: str,
     return Origin.EXTERNAL, root
 
 
-def _changed_indices(pattern: PatternGraph, instances: list[Instance],
-                     corpus_index: dict[str, CorpusGraph]) -> set[int]:
-    changed = set()
-    for idx in range(pattern.size):
-        if instances and all(binding[idx] in corpus_index[gid].changed
-                             for gid, binding in instances):
-            changed.add(idx)
-    return changed
-
-
 def structural_category(pattern: PatternGraph, instances: list[Instance],
                         corpus_index: dict[str, CorpusGraph],
                         project_modules: frozenset[str] | set[str] = frozenset()) -> StructuralCategory:
@@ -89,7 +79,7 @@ def structural_category(pattern: PatternGraph, instances: list[Instance],
     pair is changed, the before/after multisets of unpaired changed calls are
     compared instead.
     """
-    changed = _changed_indices(pattern, instances, corpus_index)
+    changed = set(universally_changed(instances, corpus_index, pattern.size))
     changed_calls = {
         idx for idx in changed if pattern.nodes[idx].subkind == "call"
     }

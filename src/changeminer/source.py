@@ -8,7 +8,9 @@ which in turn keeps the downstream change graphs quiet on cosmetic commits.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 Span = tuple[int, int, int, int]
 
@@ -67,15 +69,52 @@ def same_tree(a: AstNode, b: AstNode) -> bool:
     return all(same_tree(x, y) for x, y in zip(a.children, b.children))
 
 
-@dataclass
 class FunctionUnit:
-    """A single function or method definition extracted from one file revision."""
+    """A single function or method definition extracted from one file revision.
 
-    qualified_name: str
-    params: list[str]
-    body: AstNode
-    supported: bool
-    span: Span
+    A unit keeps its raw ``ast`` def and the lines of its file. The normalized
+    ``body`` (nested defs reduced to stubs, so no tree node belongs to two
+    units), ``params``, ``supported`` and ``span`` are built from that def on
+    first access, so a unit that is never looked into is never converted.
+    """
+
+    def __init__(self, qualified_name: str,
+                 node: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[str]):
+        self.qualified_name = qualified_name
+        self.node = node
+        self.lines = lines
+
+    @cached_property
+    def body(self) -> AstNode:
+        def_node = _convert(self.node)
+        _finish(def_node, def_node.span)
+        return _prune_nested(def_node)
+
+    @cached_property
+    def params(self) -> list[str]:
+        for child in self.body.children:
+            if child.kind == "Params":
+                return [p.label for p in child.children if p.kind == "Param"]
+        return []
+
+    @cached_property
+    def supported(self) -> bool:
+        return _is_supported(self.body)
+
+    @property
+    def span(self) -> Span:
+        return self.body.span
+
+    @property
+    def line_range(self) -> tuple[int, int]:
+        """First and last line of the def, its decorators included."""
+        node = self.node
+        first = node.decorator_list[0].lineno if node.decorator_list else node.lineno
+        return first, node.end_lineno
+
+    def source_lines(self) -> list[str]:
+        first, last = self.line_range
+        return self.lines[first - 1:last]
 
 
 @dataclass
@@ -90,17 +129,32 @@ class ImportTable:
     star_imports: list[str] = field(default_factory=list)
 
 
-def parse_source(text: str | bytes) -> AstNode:
-    """Parse Python source into a normalized tree rooted at a Module node.
+# The parser's line model: only these end a line ("\x0c", "\x85" or U+2028,
+# which str.splitlines also breaks at, do not).
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
+def parse_module(text: str | bytes) -> ast.Module:
+    """Parse Python source into a raw ``ast.Module``.
 
     Invalid UTF-8 byte sequences are replaced rather than rejected, so history
     mining never aborts on one badly encoded file. Raises ``SyntaxError`` when
-    the text does not parse under the Python 3 grammar.
+    the text does not parse under the Python 3 grammar. The module carries the
+    text's lines as ``lines``, which function units slice for their source.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
     module = ast.parse(text)
-    root = _convert(module)
+    module.lines = _LINE_BREAK.split(text)
+    return module
+
+
+def parse_source(text: str | bytes) -> AstNode:
+    """Parse Python source into a normalized tree rooted at a Module node.
+
+    Decoding and errors are those of ``parse_module``.
+    """
+    root = _convert(parse_module(text))
     _finish(root, (1, 0, 1, 0))
     return root
 
@@ -539,13 +593,34 @@ def _finish(node: AstNode, fallback: Span) -> Span:
 # ---------------------------------------------------------------------------
 
 
-def extract_functions(tree: AstNode, module_path: str) -> list[FunctionUnit]:
-    """Collect one unit per def, including nested and method definitions.
+# Fields holding nested statement lists, in the normalized tree's child order.
+# Except handlers and match cases are clauses that each hold a body.
+_BLOCK_FIELDS = ("body", "handlers", "orelse", "finalbody", "cases")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _child_statements(node: ast.AST):
+    for name in _BLOCK_FIELDS:
+        for item in getattr(node, name, ()):
+            if isinstance(item, ast.stmt):
+                yield item
+            else:
+                yield from item.body
+
+
+def _statements(node: ast.AST):
+    """Every statement under ``node``, in the normalized tree's preorder."""
+    for stmt in _child_statements(node):
+        yield stmt
+        yield from _statements(stmt)
+
+
+def extract_functions(module: ast.Module, module_path: str) -> list[FunctionUnit]:
+    """Collect one unit per def of a ``parse_module`` tree, nested ones included.
 
     Qualified names are prefixed with enclosing class/function names; repeated
-    names within one file get "#2", "#3" suffixes in definition order. Each
-    unit's body is a pruned copy in which nested defs are reduced to stubs, so
-    no tree node belongs to two units.
+    names within one file get "#2", "#3" suffixes in definition order. Only
+    statement lists are walked, since only they hold defs.
     """
     units: list[FunctionUnit] = []
     name_counts: dict[str, int] = {}
@@ -555,31 +630,20 @@ def extract_functions(tree: AstNode, module_path: str) -> list[FunctionUnit]:
         name_counts[name] = count
         return name if count == 1 else f"{name}#{count}"
 
-    def walk(node: AstNode, prefix: str) -> None:
-        for child in node.children:
-            if child.kind == "FunctionDef":
-                raw_name = f"{prefix}.{child.label}" if prefix else child.label
+    def walk(node: ast.AST, prefix: str) -> None:
+        for stmt in _child_statements(node):
+            if isinstance(stmt, _DEFS):
+                raw_name = f"{prefix}.{stmt.name}" if prefix else stmt.name
                 qualified = disambiguate(raw_name)
-                units.append(_make_unit(child, qualified))
-                walk(child, qualified)
-            elif child.kind == "ClassDef":
-                class_prefix = f"{prefix}.{child.label}" if prefix else child.label
-                walk(child, class_prefix)
+                units.append(FunctionUnit(qualified, stmt, module.lines))
+                walk(stmt, qualified)
+            elif isinstance(stmt, ast.ClassDef):
+                walk(stmt, f"{prefix}.{stmt.name}" if prefix else stmt.name)
             else:
-                walk(child, prefix)
+                walk(stmt, prefix)
 
-    walk(tree, module_path)
+    walk(module, module_path)
     return units
-
-
-def _make_unit(def_node: AstNode, qualified: str) -> FunctionUnit:
-    body = _prune_nested(def_node)
-    params = []
-    for child in body.children:
-        if child.kind == "Params":
-            params = [p.label for p in child.children if p.kind == "Param"]
-    supported = _is_supported(body)
-    return FunctionUnit(qualified, params, body, supported, def_node.span)
 
 
 def _prune_nested(def_node: AstNode) -> AstNode:
@@ -610,33 +674,25 @@ def _is_supported(body: AstNode) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def build_import_table(tree: AstNode) -> ImportTable:
-    """Collect import bindings from anywhere in the tree (module or function level)."""
+def build_import_table(module: ast.Module) -> ImportTable:
+    """Collect import bindings from anywhere in the module (module or function level)."""
     table = ImportTable()
-    for node in tree.preorder():
-        if node.kind == "Import":
-            for alias in node.children:
-                asname = _asname(alias)
-                if asname:
-                    table.aliases[asname] = alias.label
+    for node in _statements(module):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    table.aliases[alias.asname] = alias.name
                 else:
-                    root = alias.label.split(".")[0]
+                    root = alias.name.split(".")[0]
                     table.aliases[root] = root
-        elif node.kind == "ImportFrom":
-            module = node.label
-            for alias in node.children:
-                if alias.label == "*":
-                    if module:
-                        table.star_imports.append(module)
+        elif isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if alias.name == "*":
+                    if source:
+                        table.star_imports.append(source)
                     continue
-                base = module if module.endswith(".") or not module else module + "."
-                value = (base + alias.label) if module else alias.label
-                table.aliases[_asname(alias) or alias.label] = value
+                base = source if source.endswith(".") or not source else source + "."
+                value = (base + alias.name) if source else alias.name
+                table.aliases[alias.asname or alias.name] = value
     return table
-
-
-def _asname(alias_node: AstNode) -> str | None:
-    for child in alias_node.children:
-        if child.kind == "As":
-            return child.label
-    return None

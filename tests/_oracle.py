@@ -5,12 +5,20 @@ embeddings recomputed from scratch by backtracking, duplicates removed with a
 permutation-based isomorphism test, no extension caps and no budgets. Only
 the canonical-key function is shared, since key sets are the comparison
 surface.
+
+The second half is the function frontend as it was before units were built
+lazily from the raw ``ast``: it walks the whole normalized tree of a file
+(``parse_source``) and copies every def eagerly.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 PatternRecord, TNode, canonical_key)
+from changeminer.source import (AstNode, ImportTable, Span, _is_supported,
+                                _prune_nested)
 
 
 def _template_adjacency(t: PatternGraph) -> dict[int, set[int]]:
@@ -281,3 +289,94 @@ def brute_force_filter_maximal(patterns: list[PatternRecord]) -> list[PatternRec
         if not dominated:
             keep.append(record)
     return keep
+
+
+# ---------------------------------------------------------------------------
+# Full-tree function frontend
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FunctionUnit:
+    """A single function or method definition extracted from one file revision."""
+
+    qualified_name: str
+    params: list[str]
+    body: AstNode
+    supported: bool
+    span: Span
+
+
+def extract_functions(tree: AstNode, module_path: str) -> list[FunctionUnit]:
+    """Collect one unit per def, including nested and method definitions.
+
+    Qualified names are prefixed with enclosing class/function names; repeated
+    names within one file get "#2", "#3" suffixes in definition order. Each
+    unit's body is a pruned copy in which nested defs are reduced to stubs, so
+    no tree node belongs to two units.
+    """
+    units: list[FunctionUnit] = []
+    name_counts: dict[str, int] = {}
+
+    def disambiguate(name: str) -> str:
+        count = name_counts.get(name, 0) + 1
+        name_counts[name] = count
+        return name if count == 1 else f"{name}#{count}"
+
+    def walk(node: AstNode, prefix: str) -> None:
+        for child in node.children:
+            if child.kind == "FunctionDef":
+                raw_name = f"{prefix}.{child.label}" if prefix else child.label
+                qualified = disambiguate(raw_name)
+                units.append(_make_unit(child, qualified))
+                walk(child, qualified)
+            elif child.kind == "ClassDef":
+                class_prefix = f"{prefix}.{child.label}" if prefix else child.label
+                walk(child, class_prefix)
+            else:
+                walk(child, prefix)
+
+    walk(tree, module_path)
+    return units
+
+
+def _make_unit(def_node: AstNode, qualified: str) -> FunctionUnit:
+    body = _prune_nested(def_node)
+    params = []
+    for child in body.children:
+        if child.kind == "Params":
+            params = [p.label for p in child.children if p.kind == "Param"]
+    supported = _is_supported(body)
+    return FunctionUnit(qualified, params, body, supported, def_node.span)
+
+
+def build_import_table(tree: AstNode) -> ImportTable:
+    """Collect import bindings from anywhere in the tree (module or function level)."""
+    table = ImportTable()
+    for node in tree.preorder():
+        if node.kind == "Import":
+            for alias in node.children:
+                asname = _asname(alias)
+                if asname:
+                    table.aliases[asname] = alias.label
+                else:
+                    root = alias.label.split(".")[0]
+                    table.aliases[root] = root
+        elif node.kind == "ImportFrom":
+            module = node.label
+            for alias in node.children:
+                if alias.label == "*":
+                    if module:
+                        table.star_imports.append(module)
+                    continue
+                base = module if module.endswith(".") or not module else module + "."
+                value = (base + alias.label) if module else alias.label
+                table.aliases[_asname(alias) or alias.label] = value
+    return table
+
+
+def _asname(alias_node: AstNode) -> str | None:
+    for child in alias_node.children:
+        if child.kind == "As":
+            return child.label
+    return None

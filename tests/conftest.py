@@ -4,7 +4,7 @@ import pytest
 
 from changeminer.changegraph import Provenance, hash_email
 from changeminer.history import change_graph_for_pair, record_from_graph
-from changeminer.source import build_import_table, extract_functions, parse_source
+from changeminer.source import build_import_table, extract_functions, parse_module
 
 FIG2_BEFORE = """\
 def fill(collection):
@@ -23,7 +23,7 @@ def fill(collection):
 
 
 def build_unit(source: str, index: int = 0, module: str = "m"):
-    tree = parse_source(source)
+    tree = parse_module(source)
     units = extract_functions(tree, module)
     return units[index], build_import_table(tree)
 

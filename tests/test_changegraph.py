@@ -6,10 +6,11 @@ from pathlib import Path
 import pytest
 
 from changeminer.changegraph import Provenance, build_change_graph, mark_changed
-from changeminer.history import match_functions, unchanged_pair
+from changeminer.history import (_rebound_names, _same_body, _same_def_text,
+                                 match_functions, unchanged_pair)
 from changeminer.mapping import map_asts, project_mapping
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
-from changeminer.source import build_import_table, extract_functions, parse_source
+from changeminer.source import build_import_table, extract_functions, parse_module
 
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for
 
@@ -135,7 +136,7 @@ def test_node_count_bounded_by_inputs():
 
 
 def _units_of(path: Path):
-    tree = parse_source(path.read_text(encoding="utf-8"))
+    tree = parse_module(path.read_text(encoding="utf-8"))
     return extract_functions(tree, "m"), build_import_table(tree)
 
 
@@ -174,14 +175,19 @@ _NEW_STDLIB = _PYENV / "3.12.1" / "lib" / "python3.12"
 def test_unchanged_pair_skip_is_exact_on_stdlib_revisions():
     names = sorted(p.name for p in _OLD_STDLIB.glob("*.py")
                    if (_NEW_STDLIB / p.name).is_file())[:10]
-    skipped = 0
+    skipped = by_text = 0
     for name in names:
         try:
             units_b, imports_b = _units_of(_OLD_STDLIB / name)
             units_a, imports_a = _units_of(_NEW_STDLIB / name)
         except SyntaxError:
             continue
+        rebound = _rebound_names(imports_b, imports_a)
         for unit_b, unit_a in match_functions(units_b, units_a):
+            if _same_def_text(unit_b, unit_a, rebound):
+                by_text += 1
+                assert _same_body(unit_b, unit_a, rebound), \
+                    f"{name}: {unit_b.qualified_name}"
             if not unchanged_pair(unit_b, unit_a, imports_b, imports_a):
                 continue
             layers = _modelled(unit_b, imports_b, unit_a, imports_a)
@@ -190,4 +196,4 @@ def test_unchanged_pair_skip_is_exact_on_stdlib_revisions():
             skipped += 1
             assert build_change_graph(*layers, _PROV) is None, \
                 f"{name}: {unit_b.qualified_name}"
-    assert skipped > 100
+    assert skipped > 100 and by_text > 100

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from changeminer import history
 from changeminer.changegraph import Provenance
 from changeminer.history import (ChangeGraphStore, CommitFilter, CommitInfo,
                                  RepoSpec, RepoUnavailable,
@@ -12,7 +14,7 @@ from changeminer.history import (ChangeGraphStore, CommitFilter, CommitInfo,
                                  mine_repository, module_path_for,
                                  pair_modified_files, read_repos_file)
 from changeminer.source import (build_import_table, extract_functions,
-                                parse_source)
+                                parse_module)
 
 from gitrepos import commit_files, git, init_repo, merge_branches
 
@@ -116,9 +118,9 @@ def test_rename_treated_as_delete_plus_add(tmp_path):
 
 
 def test_match_functions_by_qualified_name():
-    before = extract_functions(parse_source(
+    before = extract_functions(parse_module(
         "def m():\n    return 1\n\nclass C:\n    def m(self):\n        return 2\n"), "x")
-    after = extract_functions(parse_source(
+    after = extract_functions(parse_module(
         "def m():\n    return 1\n\nclass C:\n    def m(self):\n        return 3\n"), "x")
     pairs = match_functions(before, after)
     assert [(b.qualified_name, a.qualified_name) for b, a in pairs] == \
@@ -126,8 +128,8 @@ def test_match_functions_by_qualified_name():
 
 
 def test_renamed_function_not_paired():
-    before = extract_functions(parse_source("def f():\n    return 1\n"), "x")
-    after = extract_functions(parse_source("def g():\n    return 1\n"), "x")
+    before = extract_functions(parse_module("def f():\n    return 1\n"), "x")
+    after = extract_functions(parse_module("def g():\n    return 1\n"), "x")
     assert match_functions(before, after) == []
 
 
@@ -185,7 +187,7 @@ def test_manifest_counts_unsupported_and_parse_failures(tmp_path):
 
 
 def _pair(before: str, after: str):
-    tree_b, tree_a = parse_source(before), parse_source(after)
+    tree_b, tree_a = parse_module(before), parse_module(after)
     unit_b = extract_functions(tree_b, "m")[0]
     unit_a = extract_functions(tree_a, "m")[0]
     return unit_b, unit_a, build_import_table(tree_b), build_import_table(tree_a)
@@ -273,13 +275,49 @@ def test_module_path_for():
     assert module_path_for("top.py") == "top"
 
 
-def test_parallel_mining_matches_serial(tmp_path, copy_repo):
+def test_parallel_mining_matches_serial(tmp_path, monkeypatch):
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": COPY_BEFORE}, "initial")
+    commit_files(repo, {"mod.py": COPY_AFTER}, "deepcopy state")
+    commit_files(repo, {"mod.py": COPY_AFTER.replace("deepcopy", "copy")},
+                 "shallow copy is enough")
+    commit_files(repo, {"mod.py": COPY_AFTER}, "deepcopy again")
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def map(self, *args, **kwargs):
+            pools.append(self)
+            return super().map(*args, **kwargs)
+
+    monkeypatch.setattr(history, "ProcessPoolExecutor", RecordingPool)
     serial = ChangeGraphStore(tmp_path / "serial")
     parallel = ChangeGraphStore(tmp_path / "parallel")
-    spec = RepoSpec(str(copy_repo), "r1")
+    spec = RepoSpec(str(repo), "r1")
     info_s = mine_repository(spec, CommitFilter(), serial, jobs=1)
+    assert pools == []
     info_p = mine_repository(spec, CommitFilter(), parallel, jobs=4)
+    assert len(pools) == 1
     serial.finalize({}, {"r1": info_s})
     parallel.finalize({}, {"r1": info_p})
+    assert info_s == info_p and info_s["graphs"] == 3
     assert (serial.root / ChangeGraphStore.RECORDS).read_text() == \
         (parallel.root / ChangeGraphStore.RECORDS).read_text()
+
+
+def test_code_snippet_follows_the_parsers_lines(tmp_path):
+    # "\x0c" on a line of its own and U+2028 inside a string literal end a
+    # line for str.splitlines but not for the parser.
+    before = ("def a():\n    return 1\n\x0c\n"
+              "def f(x):\n    s = 'one\u2028two'\n    return x + 1\n")
+    after = before.replace("x + 1", "x + 2")
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"m.py": before}, "initial")
+    commit_files(repo, {"m.py": after}, "add two")
+    store, _ = mine_into(tmp_path, repo)
+    [record] = list(store.iter_records())
+    assert record["code"] == {
+        "Before": {"text": "def f(x):\n    s = 'one\u2028two'\n    return x + 1",
+                   "start_line": 4},
+        "After": {"text": "def f(x):\n    s = 'one\u2028two'\n    return x + 2",
+                  "start_line": 4},
+    }

@@ -4,7 +4,7 @@ import pytest
 
 from changeminer.pdg import (CONTROL_EDGE_LABELS, DATA_EDGE_LABELS,
                              UnsupportedConstruct, build_fgpdg, resolve_callee)
-from changeminer.source import FunctionUnit, parse_source
+from changeminer.source import parse_module, parse_source
 
 from conftest import FIG2_BEFORE, build_unit
 
@@ -113,9 +113,9 @@ def test_resolve_callee_alias_chain():
 
 def test_resolve_callee_cases():
     from changeminer.source import build_import_table
-    tree = parse_source(
-        "import numpy as np\nx = np.zeros(3)\ny = obj.copy()\nz = set()\n")
-    imports = build_import_table(tree)
+    source = "import numpy as np\nx = np.zeros(3)\ny = obj.copy()\nz = set()\n"
+    tree = parse_source(source)
+    imports = build_import_table(parse_module(source))
     calls = [n for n in tree.preorder() if n.kind == "Call"]
     labels = [resolve_callee(c, imports) for c in calls]
     assert labels == ["numpy.zeros", "?.copy", "set"]

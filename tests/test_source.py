@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import sysconfig
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
 from changeminer.source import (build_import_table, extract_functions,
-                                parse_source, same_tree)
+                                parse_module, parse_source, same_tree)
 
+import _oracle
 from conftest import FIG2_BEFORE
 
 
@@ -72,13 +76,13 @@ def test_identifier_and_literal_labels_nonempty():
 
 
 def test_extract_two_top_level_defs():
-    units = extract_functions(parse_source("def a():\n    pass\n\ndef b():\n    pass\n"), "mod")
+    units = extract_functions(parse_module("def a():\n    pass\n\ndef b():\n    pass\n"), "mod")
     assert [u.qualified_name for u in units] == ["mod.a", "mod.b"]
 
 
 def test_method_qualified_name_includes_class():
     source = "class C:\n    def m(self):\n        return 1\n"
-    units = extract_functions(parse_source(source), "pkg.mod")
+    units = extract_functions(parse_module(source), "pkg.mod")
     assert units[0].qualified_name == "pkg.mod.C.m"
     assert units[0].params == ["self"]
 
@@ -89,7 +93,7 @@ def test_duplicate_names_get_numbered_suffixes():
         "def f():\n    return 2\n"
         "def f():\n    return 3\n"
     )
-    units = extract_functions(parse_source(source), "m")
+    units = extract_functions(parse_module(source), "m")
     assert [u.qualified_name for u in units] == ["m.f", "m.f#2", "m.f#3"]
 
 
@@ -101,7 +105,7 @@ def test_nested_def_gets_own_unit_and_outer_body_is_pruned():
         "        return x\n"
         "    return inner\n"
     )
-    units = extract_functions(parse_source(source), "m")
+    units = extract_functions(parse_module(source), "m")
     names = [u.qualified_name for u in units]
     assert names == ["m.outer", "m.outer.inner"]
     outer = units[0]
@@ -118,7 +122,7 @@ def test_units_have_disjoint_bodies():
         "        return 1\n"
         "    return inner()\n"
     )
-    units = extract_functions(parse_source(source), "m")
+    units = extract_functions(parse_module(source), "m")
     seen: set[int] = set()
     for unit in units:
         for node in unit.body.preorder():
@@ -134,12 +138,12 @@ def test_units_have_disjoint_bodies():
     ("    try:\n        pass\n    except ValueError:\n        pass", True),
 ])
 def test_supported_flag(body, expected):
-    units = extract_functions(parse_source(f"def f(x, xs):\n{body}\n"), "m")
+    units = extract_functions(parse_module(f"def f(x, xs):\n{body}\n"), "m")
     assert units[0].supported is expected
 
 
 def test_generator_flagged_unsupported_but_kept():
-    units = extract_functions(parse_source("def gen():\n    yield 1\n"), "m")
+    units = extract_functions(parse_module("def gen():\n    yield 1\n"), "m")
     assert len(units) == 1
     assert units[0].supported is False
 
@@ -152,7 +156,7 @@ def test_import_table_cases():
         "from collections import OrderedDict as OD\n"
         "from os.path import *\n"
     )
-    table = build_import_table(parse_source(source))
+    table = build_import_table(parse_module(source))
     assert table.aliases["np"] == "numpy"
     assert table.aliases["os"] == "os"
     assert table.aliases["deepcopy"] == "copy.deepcopy"
@@ -161,19 +165,19 @@ def test_import_table_cases():
 
 
 def test_relative_imports_keep_leading_dots():
-    table = build_import_table(parse_source("from .util import helper\nfrom . import sibling\n"))
+    table = build_import_table(parse_module("from .util import helper\nfrom . import sibling\n"))
     assert table.aliases["helper"] == ".util.helper"
     assert table.aliases["sibling"] == ".sibling"
 
 
 def test_empty_file_gives_empty_table():
-    table = build_import_table(parse_source(""))
+    table = build_import_table(parse_module(""))
     assert table.aliases == {} and table.star_imports == []
 
 
 def test_import_table_is_pure_function_of_tree():
     source = "import json\nfrom copy import deepcopy\n"
-    tree = parse_source(source)
+    tree = parse_module(source)
     first = build_import_table(tree)
     second = build_import_table(tree)
     assert first.aliases == second.aliases
@@ -189,3 +193,125 @@ def test_parse_idempotent_under_comment_insertion(names, pad):
     plain = "\n".join(lines) + "\n"
     noisy = ("\n" * pad) + ("\n# noise\n".join(lines)) + "\n"
     assert same_tree(parse_source(plain), parse_source(noisy))
+
+
+def _matches_full_tree_frontend(source: str):
+    """Units and import table of ``source``, checked against the oracle's."""
+    module = parse_module(source)
+    units = extract_functions(module, "m")
+    tree = parse_source(source)
+    expected = _oracle.extract_functions(tree, "m")
+    assert [u.qualified_name for u in units] == [u.qualified_name for u in expected]
+    for unit, old in zip(units, expected):
+        assert unit.span == old.span, unit.qualified_name
+        assert unit.line_range == (old.span[0], old.span[2]), unit.qualified_name
+        assert same_tree(unit.body, old.body), unit.qualified_name
+        assert [n.span for n in unit.body.preorder()] == \
+            [n.span for n in old.body.preorder()], unit.qualified_name
+        assert unit.params == old.params, unit.qualified_name
+        assert unit.supported == old.supported, unit.qualified_name
+    assert build_import_table(module) == _oracle.build_import_table(tree)
+    return units, build_import_table(module)
+
+
+_STDLIB_FILES = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))[:25]
+
+
+@pytest.mark.skipif(not _STDLIB_FILES, reason="needs the standard library sources")
+def test_units_match_the_full_tree_frontend_on_stdlib_files():
+    checked = 0
+    for path in _STDLIB_FILES:
+        units, _ = _matches_full_tree_frontend(path.read_text(encoding="utf-8"))
+        checked += len(units)
+    assert checked > 500
+
+
+def test_try_clauses_number_defs_in_tree_order():
+    source = (
+        "try:\n"
+        "    import a as x, b as y\n"
+        "    def f():\n        return 1\n"
+        "except ImportError:\n"
+        "    import c as x, d as y\n"
+        "    def f():\n        return 2\n"
+        "else:\n"
+        "    import e as x\n"
+        "    def f():\n        return 3\n"
+        "finally:\n"
+        "    def f():\n        return 4\n"
+    )
+    units, table = _matches_full_tree_frontend(source)
+    assert [u.qualified_name for u in units] == ["m.f", "m.f#2", "m.f#3", "m.f#4"]
+    assert [u.line_range[0] for u in units] == [3, 7, 11, 14]
+    assert table.aliases == {"x": "e", "y": "d"}
+
+
+def test_defs_in_match_cases_are_units():
+    source = (
+        "def dispatch(cmd):\n"
+        "    match cmd:\n"
+        "        case 'a':\n"
+        "            from mod import one as pick\n"
+        "            def handler():\n                return pick()\n"
+        "        case _:\n"
+        "            def handler():\n                return 2\n"
+        "    return handler\n"
+    )
+    units, table = _matches_full_tree_frontend(source)
+    assert [u.qualified_name for u in units] == \
+        ["m.dispatch", "m.dispatch.handler", "m.dispatch.handler#2"]
+    assert [u.supported for u in units] == [False, True, True]
+    assert table.aliases == {"pick": "mod.one"}
+
+
+def test_decorated_and_async_defs():
+    source = (
+        "@decorator\n"
+        "@other.attr(1)\n"
+        "async def fetch(url, *, timeout=3):\n"
+        "    async with session() as s:\n"
+        "        return await s.get(url)\n"
+        "\n"
+        "class C:\n"
+        "    @property\n"
+        "    def value(self):\n"
+        "        return self._v\n"
+        "\n"
+        "    @value.setter\n"
+        "    def value(self, v):\n"
+        "        self._v = v\n"
+    )
+    units, _ = _matches_full_tree_frontend(source)
+    assert [u.qualified_name for u in units] == ["m.fetch", "m.C.value", "m.C.value#2"]
+    assert [u.line_range for u in units] == [(1, 5), (8, 10), (12, 14)]
+    assert units[0].params == ["url", "timeout"]
+
+
+def test_def_in_class_in_if_and_other_blocks():
+    source = (
+        "if sys.version_info >= (3, 8):\n"
+        "    class Impl:\n"
+        "        def run(self):\n            return 1\n"
+        "else:\n"
+        "    class Impl:\n"
+        "        def run(self):\n            return 2\n"
+        "while False:\n"
+        "    def in_while():\n        pass\n"
+        "with ctx():\n"
+        "    def in_with():\n        pass\n"
+        "for i in range(3):\n"
+        "    def in_for():\n        pass\n"
+        "else:\n"
+        "    def in_for():\n        pass\n"
+    )
+    units, _ = _matches_full_tree_frontend(source)
+    assert [u.qualified_name for u in units] == [
+        "m.Impl.run", "m.Impl.run#2", "m.in_while", "m.in_with", "m.in_for",
+        "m.in_for#2"]
+
+
+def test_unit_lines_follow_the_parsers_line_breaks():
+    source = "x = 1\r\ndef f():\r    s = '\x0c\u2028'\n    return s\n"
+    [unit] = extract_functions(parse_module(source), "m")
+    assert unit.line_range == (2, 4)
+    assert unit.source_lines() == ["def f():", "    s = '\x0c\u2028'", "    return s"]
