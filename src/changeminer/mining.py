@@ -7,22 +7,21 @@ corpus embed it. Grown templates absorb every edge between the new node and
 already-present nodes that all instances share, so one recurring change yields
 one template rather than one per spanning tree.
 
-Template identity is a canonical key: iterative neighbourhood-label refinement
-to stable colours, then a lexicographically minimal serialization searched
-over the remaining colour-class orderings. Equal keys still trigger an exact
-isomorphism check before two explorations are merged.
+Template identity is a canonical key from an exact canonical labelling by
+individualization-refinement: neighbourhood refinement to stable integer
+colours, then a search that splits the remaining colour classes one node at
+a time and keeps the smallest edge list. Two templates get equal keys exactly
+when they are isomorphic, so the search merges explorations by key alone.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 MAP = "Map"
-_ORDER_SEARCH_CAP = 40320
 
 
 @dataclass
@@ -139,17 +138,16 @@ class CorpusGraph:
         )
 
     def has_edge(self, src: int, dst: int, kind: str, label: str) -> bool:
-        return (kind, label, "out", dst) in self._incident_set(src)
+        return (kind, label, "out", dst) in self._incident_sets[src]
 
     def has_map(self, b: int, a: int) -> bool:
-        return (MAP, "", "out", a) in self._incident_set(b)
+        return (MAP, "", "out", a) in self._incident_sets[b]
 
-    def _incident_set(self, nid: int) -> set:
-        cached = getattr(self, "_isets", None)
-        if cached is None:
-            cached = {n: set(entries) for n, entries in self.incident.items()}
-            self._isets = cached
-        return cached[nid]
+    @cached_property
+    def _incident_sets(self) -> dict[int, set[tuple[str, str, str, int]]]:
+        # Built on first use, not in __init__: only verify_instance and the
+        # test oracle ask, and load_corpus would pay for it on every graph.
+        return {nid: set(entries) for nid, entries in self.incident.items()}
 
 
 def load_corpus(store) -> list[CorpusGraph]:
@@ -305,7 +303,7 @@ def verify_instance(pattern: PatternGraph, graph: CorpusGraph,
 
 
 # ---------------------------------------------------------------------------
-# Canonical keys and exact isomorphism
+# Canonical keys
 # ---------------------------------------------------------------------------
 
 
@@ -320,175 +318,100 @@ def _adjacency_tags(pattern: PatternGraph) -> list[list[tuple[str, int]]]:
     return tags
 
 
-def refinement_colors(pattern: PatternGraph) -> list[str]:
-    """Stable per-node colours from iterative neighbourhood refinement."""
-    colors = [node.sig() for node in pattern.nodes]
-    tags = _adjacency_tags(pattern)
-    for _ in range(max(1, pattern.size)):
-        fresh = []
-        for i in range(pattern.size):
-            env = ",".join(sorted(f"{tag}@{colors[j]}" for tag, j in tags[i]))
-            fresh.append(hashlib.sha1(f"{colors[i]}||{env}".encode()).hexdigest())
-        if _partition(fresh) == _partition(colors):
+def _ranks(values: list) -> list[int]:
+    """Each value's rank among the sorted distinct values."""
+    rank = {value: r for r, value in enumerate(sorted(set(values)))}
+    return [rank[value] for value in values]
+
+
+def _refine(tags: list[list[tuple[str, int]]], colors: list[int]) -> list[int]:
+    # Colours are ranks 0..k-1. A new colour sorts first by the old one, so
+    # cells split in place and keep their order; when no cell splits, the
+    # new ranks equal the old colours.
+    classes = len(set(colors))
+    while classes < len(colors):
+        fresh = _ranks([
+            (color, tuple(sorted((tag, colors[j]) for tag, j in node_tags)))
+            for color, node_tags in zip(colors, tags)
+        ])
+        count = max(fresh) + 1
+        if count == classes:
             break
-        colors = fresh
+        colors, classes = fresh, count
     return colors
 
 
-def _partition(colors: list[str]) -> list[tuple[int, ...]]:
-    groups: dict[str, list[int]] = {}
-    for i, color in enumerate(colors):
-        groups.setdefault(color, []).append(i)
-    return sorted(tuple(v) for v in groups.values())
+def refinement_colors(pattern: PatternGraph) -> list[int]:
+    """Stable per-node colours from iterative neighbourhood refinement.
+
+    A node starts as the rank of its signature among the pattern's sorted
+    distinct signatures. Each round it becomes the rank of its colour plus
+    the sorted (edge tag, neighbour colour) pairs around it, until the
+    number of colours stops growing. Colours do not depend on numbering.
+    """
+    return _refine(_adjacency_tags(pattern),
+                   _ranks([node.sig() for node in pattern.nodes]))
 
 
-def _twin_groups(pattern: PatternGraph, members: list[int]) -> list[list[int]]:
-    """Split one colour class into groups of mutually interchangeable nodes."""
-    tags = _adjacency_tags(pattern)
-    groups: list[list[int]] = []
-    for node in members:
-        placed = False
-        for group in groups:
-            if _are_twins(tags, group[0], node):
-                group.append(node)
-                placed = True
-                break
-        if not placed:
-            groups.append([node])
-    return groups
+def _twins(tags: list[list[tuple[str, int]]], u: int, v: int) -> bool:
+    """Whether swapping two equally labelled nodes maps the pattern onto itself."""
+    def around(node: int, other: int) -> list[tuple[str, int]]:
+        return sorted((tag, -1 if j == other else -2 if j == node else j)
+                      for tag, j in tags[node])
 
-
-def _are_twins(tags, u: int, v: int) -> bool:
-    def signature(node: int, other: int):
-        out = []
-        for tag, j in tags[node]:
-            if j == other:
-                out.append((tag, "self"))
-            elif j == node:
-                out.append((tag, "loop"))
-            else:
-                out.append((tag, j))
-        return sorted(out)
-
-    return signature(u, v) == signature(v, u)
+    return around(u, v) == around(v, u)
 
 
 def canonical_key(pattern: PatternGraph) -> str:
-    """Renumbering-invariant identity string for a template."""
-    colors = refinement_colors(pattern)
-    classes: dict[str, list[int]] = {}
-    for i, color in enumerate(colors):
-        classes.setdefault(color, []).append(i)
-    ordered_classes = [classes[color] for color in sorted(classes)]
+    """Renumbering-invariant identity string for a template.
 
-    class_twins = [_twin_groups(pattern, members) for members in ordered_classes]
-    search_space = math.prod(
-        math.factorial(len(twins)) for twins in class_twins
-    )
-    node_serial = ";".join(
-        pattern.nodes[members[0]].sig() + f"*{len(members)}"
-        for members in ordered_classes
-    )
-
-    if search_space > _ORDER_SEARCH_CAP:
-        orderings = [[node for twins in class_twins
-                      for group in twins for node in group]]
-    else:
-        per_class = [
-            [
-                [node for group in permutation for node in group]
-                for permutation in itertools.permutations(twins)
-            ]
-            for twins in class_twins
-        ]
-        orderings = (
-            [node for part in combo for node in part]
-            for combo in itertools.product(*per_class)
-        )
-
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism II", 2014): refine the colours; while some cell has several
+    nodes, take the first such cell and try each of its nodes as a singleton
+    placed before the rest of the cell, then refine again. Each discrete
+    colouring numbers the nodes; the key hashes the sorted signatures with
+    the smallest edge list over those numberings. A node that is a twin of
+    one already tried is skipped: swapping the two is an automorphism, so
+    its branch yields the same edge lists. Equal keys mean isomorphic
+    patterns.
+    """
+    tags = _adjacency_tags(pattern)
+    sigs = [node.sig() for node in pattern.nodes]
     best = None
-    for ordering in orderings:
-        position = {node: i for i, node in enumerate(ordering)}
-        serial = _edge_serial(pattern, position)
-        if best is None or serial < best:
-            best = serial
-    payload = f"{node_serial}#{best}"
-    return "cp1-" + hashlib.sha1(payload.encode()).hexdigest()
 
+    def search(colors: list[int]) -> None:
+        nonlocal best
+        cells: dict[int, list[int]] = {}
+        for node, color in enumerate(colors):
+            cells.setdefault(color, []).append(node)
+        if len(cells) == len(colors):
+            leaf = (sorted((colors[src], colors[dst], kind, label)
+                           for src, dst, kind, label in pattern.edges),
+                    sorted((colors[b], colors[a]) for b, a in pattern.map_edges))
+            if best is None or leaf < best:
+                best = leaf
+            return
+        split = min(color for color, members in cells.items() if len(members) > 1)
+        tried: list[int] = []
+        for node in cells[split]:
+            if any(_twins(tags, other, node) for other in tried):
+                continue
+            tried.append(node)
+            search(_refine(tags, [
+                color + (color > split or (color == split and other != node))
+                for other, color in enumerate(colors)
+            ]))
 
-def _edge_serial(pattern: PatternGraph, position: dict[int, int]) -> str:
-    parts = sorted(
-        f"{position[src]:03d}>{position[dst]:03d}:{kind}:{label}"
-        for src, dst, kind, label in pattern.edges
-    )
-    parts += sorted(
-        f"{position[b]:03d}~{position[a]:03d}" for b, a in pattern.map_edges
-    )
-    return ";".join(parts)
+    search(_refine(tags, _ranks(sigs)))
+    payload = repr((sorted(sigs), best))
+    return "cp2-" + hashlib.sha1(payload.encode()).hexdigest()
 
 
 def exact_isomorphic(p: PatternGraph, q: PatternGraph) -> bool:
-    """Backtracking isomorphism test guided by refinement colours."""
-    if p.size != q.size or len(p.edges) != len(q.edges) \
-            or len(p.map_edges) != len(q.map_edges):
-        return False
-    colors_p = refinement_colors(p)
-    colors_q = refinement_colors(q)
-    if sorted(colors_p) != sorted(colors_q):
-        return False
-    candidates = [
-        [j for j in range(q.size) if colors_q[j] == colors_p[i]]
-        for i in range(p.size)
-    ]
-    p_adj = _edge_lookup(p)
-    q_adj = _edge_lookup(q)
-    order = sorted(range(p.size), key=lambda i: len(candidates[i]))
-    assigned: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if j in used:
-                continue
-            if not _consistent(i, j, assigned, p_adj, q_adj):
-                continue
-            assigned[i] = j
-            used.add(j)
-            if backtrack(k + 1):
-                return True
-            del assigned[i]
-            used.discard(j)
-        return False
-
-    return backtrack(0)
-
-
-def _edge_lookup(pattern: PatternGraph):
-    edges = {}
-    for src, dst, kind, label in pattern.edges:
-        edges.setdefault((src, dst), set()).add((kind, label))
-    maps = set(pattern.map_edges)
-    return edges, maps
-
-
-def _consistent(i: int, j: int, assigned: dict[int, int], p_adj, q_adj) -> bool:
-    p_edges, p_maps = p_adj
-    q_edges, q_maps = q_adj
-    for other_i, other_j in assigned.items():
-        if p_edges.get((i, other_i), set()) != q_edges.get((j, other_j), set()):
-            return False
-        if p_edges.get((other_i, i), set()) != q_edges.get((other_j, j), set()):
-            return False
-        if ((i, other_i) in p_maps) != ((j, other_j) in q_maps):
-            return False
-        if ((other_i, i) in p_maps) != ((other_j, j) in q_maps):
-            return False
-    if p_edges.get((i, i), set()) != q_edges.get((j, j), set()):
-        return False
-    return True
+    """Isomorphism test: equal sizes, equal edge counts and equal canonical keys."""
+    return (p.size == q.size and len(p.edges) == len(q.edges)
+            and len(p.map_edges) == len(q.map_edges)
+            and canonical_key(p) == canonical_key(q))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +463,7 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
         seeds.items(), key=lambda item: (-len(item[1]), item[0])
     )
 
-    visited: dict[str, list[PatternGraph]] = {}
+    visited: set[str] = set()
     collected: list[PatternRecord] = []
     warnings: list[str] = []
 
@@ -559,10 +482,9 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
                 break
             pattern, pattern_instances = stack.pop()
             key = canonical_key(pattern)
-            bucket = visited.setdefault(key, [])
-            if any(exact_isomorphic(pattern, seen) for seen in bucket):
+            if key in visited:
                 continue
-            bucket.append(pattern)
+            visited.add(key)
             support = support_of(pattern, pattern_instances)
             if (pattern.size >= cfg.min_size and support >= cfg.min_freq
                     and next(universally_changed(pattern_instances, corpus_index,

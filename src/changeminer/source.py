@@ -647,17 +647,19 @@ def extract_functions(module: ast.Module, module_path: str) -> list[FunctionUnit
 
 
 def _prune_nested(def_node: AstNode) -> AstNode:
-    def copy(node: AstNode, is_root: bool) -> AstNode:
-        out = AstNode(node.kind, node.label, span=node.span)
-        if node.kind == "FunctionDef" and not is_root:
-            return out  # stub: nested def belongs to its own unit
-        for child in node.children:
-            out.add(copy(child, False))
-        return out
+    """Reduce each nested def of a freshly converted def to a stub, in place.
 
-    root = copy(def_node, True)
-    _finish(root, def_node.span)
-    return root
+    The stub keeps its widened span; removing children cannot widen a span,
+    so ``_finish`` need not run again.
+    """
+    stack = list(def_node.children)
+    while stack:
+        node = stack.pop()
+        if node.kind == "FunctionDef":
+            node.children = []  # stub: nested def belongs to its own unit
+        else:
+            stack.extend(node.children)
+    return def_node
 
 
 def _is_supported(body: AstNode) -> bool:

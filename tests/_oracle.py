@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 PatternRecord, TNode, canonical_key)
-from changeminer.source import (AstNode, ImportTable, Span, _is_supported,
-                                _prune_nested)
+from changeminer.source import (AstNode, ImportTable, Span, _finish,
+                                _is_supported)
 
 
 def _template_adjacency(t: PatternGraph) -> dict[int, set[int]]:
@@ -348,6 +348,20 @@ def _make_unit(def_node: AstNode, qualified: str) -> FunctionUnit:
             params = [p.label for p in child.children if p.kind == "Param"]
     supported = _is_supported(body)
     return FunctionUnit(qualified, params, body, supported, def_node.span)
+
+
+def _prune_nested(def_node: AstNode) -> AstNode:
+    def copy(node: AstNode, is_root: bool) -> AstNode:
+        out = AstNode(node.kind, node.label, span=node.span)
+        if node.kind == "FunctionDef" and not is_root:
+            return out  # stub: nested def belongs to its own unit
+        for child in node.children:
+            out.add(copy(child, False))
+        return out
+
+    root = copy(def_node, True)
+    _finish(root, def_node.span)
+    return root
 
 
 def build_import_table(tree: AstNode) -> ImportTable:

@@ -3,13 +3,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from changeminer.mining import (CorpusGraph, MiningConfig, PatternGraph, TNode,
-                                canonical_key, collect_seeds, exact_isomorphic,
-                                extend, filter_cross_project, filter_maximal,
-                                load_corpus, mine, refinement_colors,
-                                support_of, verify_instance)
+from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
+                                TNode, canonical_key, collect_seeds,
+                                exact_isomorphic, extend, filter_cross_project,
+                                filter_maximal, load_corpus, mine,
+                                refinement_colors, support_of, verify_instance)
 from changeminer.mining import PatternRecord
 
 from _oracle import (brute_force_filter_maximal, brute_force_isomorphic,
@@ -164,6 +164,10 @@ def _permuted(pattern: PatternGraph, seed: int) -> PatternGraph:
     rng = random.Random(seed)
     perm = list(range(pattern.size))
     rng.shuffle(perm)
+    return _renumbered(pattern, perm)
+
+
+def _renumbered(pattern: PatternGraph, perm: list[int]) -> PatternGraph:
     nodes = [None] * pattern.size
     for old, new in enumerate(perm):
         nodes[new] = pattern.nodes[old]
@@ -223,6 +227,17 @@ def _cycle_pattern(cycle_edges: list[tuple[int, int]], n: int) -> PatternGraph:
                         frozenset())
 
 
+def _cycles(lengths: list[int]) -> PatternGraph:
+    sig = TNode("Before", "Data", "var", "var")
+    edges, start = set(), 0
+    for length in lengths:
+        edges.update((start + i, start + (i + 1) % length, "Data", "ref")
+                     for i in range(length))
+        start += length
+    return PatternGraph(tuple(sig for _ in range(start)), frozenset(edges),
+                        frozenset())
+
+
 def test_refinement_collision_separated_by_exact_check():
     # Two 6-cycles sharing an edge vs two 5-cycles joined by an edge: the
     # classic pair that neighbourhood refinement cannot tell apart.
@@ -235,6 +250,115 @@ def test_refinement_collision_separated_by_exact_check():
     assert sorted(refinement_colors(decalin)) == sorted(refinement_colors(bicyclopentyl))
     assert not exact_isomorphic(decalin, bicyclopentyl)
     assert not brute_force_isomorphic(decalin, bicyclopentyl)
+
+
+def test_undirected_triangle_of_equal_nodes_gets_a_key():
+    # One colour class whose nodes are joined by same-tag edges.
+    triangle = _cycle_pattern([(0, 1), (1, 2), (2, 0)], 3)
+    assert canonical_key(triangle) == canonical_key(_permuted(triangle, 1))
+
+
+def test_directed_cycle_key_ignores_numbering():
+    # One colour class of nine nodes: 9! orderings, too many to try all.
+    cycle = _cycles([9])
+    assert len({canonical_key(_permuted(cycle, seed))
+                for seed in range(20)}) == 1
+
+
+def test_symmetric_graphs_get_numbering_invariant_keys():
+    cube = _cycle_pattern([(i, i | 1 << bit) for i in range(16)
+                           for bit in range(4) if not i & 1 << bit], 16)
+    petersen = _cycle_pattern(
+        [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)], 10)
+    for graph in (cube, petersen):
+        assert canonical_key(graph) == canonical_key(_permuted(graph, 7))
+
+
+_cyclic_sig_pool = [
+    TNode("Before", "Data", "var", "var"),
+    TNode("After", "Data", "var", "var"),
+]
+
+
+@st.composite
+def _cyclic_graphs(draw, nodes: tuple[TNode, ...]):
+    """Permutation cycles (fixed points are self-loops), one- or two-way,
+    plus extra edges and map edges."""
+    n = len(nodes)
+    edges = set()
+    for _ in range(draw(st.integers(0, 2))):
+        successor = draw(st.permutations(range(n)))
+        label = draw(st.sampled_from(["ref", "def"]))
+        two_way = draw(st.booleans())
+        for u, v in enumerate(successor):
+            edges.add((u, v, "Data", label))
+            if two_way:
+                edges.add((v, u, "Data", label))
+    for _ in range(draw(st.integers(0, n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        label = draw(st.sampled_from(["ref", "def"]))
+        edges.add((u, v, "Data", label))
+        if draw(st.booleans()):
+            edges.add((v, u, "Data", label))
+    maps = {(b, a) for b in range(n) for a in range(n)
+            if nodes[b].version == "Before" and nodes[a].version == "After"
+            and draw(st.integers(0, 3)) == 0}
+    return PatternGraph(nodes, frozenset(edges), frozenset(maps))
+
+
+@st.composite
+def _graph_pairs(draw):
+    """Two graphs over one node multiset: p renumbered, p with one edge
+    relabelled or one edge or map edge toggled and then renumbered, or a
+    fresh draw."""
+    pool = draw(st.sampled_from([_cyclic_sig_pool[:1], _cyclic_sig_pool]))
+    nodes = tuple(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                max_size=7)))
+    p = draw(_cyclic_graphs(nodes))
+    how = draw(st.sampled_from(["renumber", "relabel", "toggle", "fresh"]))
+    if how == "fresh":
+        return p, draw(_cyclic_graphs(tuple(draw(st.permutations(nodes)))))
+    q = p
+    if how == "relabel" and p.edges:
+        src, dst, kind, label = draw(st.sampled_from(sorted(p.edges)))
+        flipped = (src, dst, kind, "def" if label == "ref" else "ref")
+        edges = p.edges - {(src, dst, kind, label)} | {flipped}
+        q = PatternGraph(nodes, edges, p.map_edges)
+    if how == "toggle":
+        u = draw(st.integers(0, len(nodes) - 1))
+        v = draw(st.integers(0, len(nodes) - 1))
+        label = draw(st.sampled_from(["ref", "def", MAP]))
+        if label == MAP:
+            q = PatternGraph(nodes, p.edges, p.map_edges ^ {(u, v)})
+        else:
+            q = PatternGraph(nodes, p.edges ^ {(u, v, "Data", label)},
+                             p.map_edges)
+    return p, _permuted(q, draw(st.integers(0, 10_000)))
+
+
+# 0 -def- 1 -ref- 2, two-way, with a ref self-loop on 0 and a def one on 2.
+_LABELLED_PATH = PatternGraph(
+    tuple(TNode("Before", "Data", "var", "var") for _ in range(3)),
+    frozenset((src, dst, "Data", label) for src, dst, label in [
+        (0, 0, "ref"), (0, 1, "def"), (1, 0, "def"),
+        (1, 2, "ref"), (2, 1, "ref"), (2, 2, "def")]),
+    frozenset())
+
+
+# Refinement leaves every node of these in one class. The first pair is not
+# isomorphic; node 0 of the second pair lies on cycles of different length;
+# the ends of the path have the same neighbours under other labels, so they
+# are not twins.
+@given(_graph_pairs())
+@example((_cycles([6]), _cycles([3, 3])))
+@example((_cycles([4, 3]), _cycles([3, 4])))
+@example((_LABELLED_PATH, _renumbered(_LABELLED_PATH, [1, 2, 0])))
+@settings(max_examples=300, deadline=None)
+def test_equal_keys_exactly_for_isomorphic_cyclic_graphs(pair):
+    p, q = pair
+    same_key = canonical_key(p) == canonical_key(q)
+    assert same_key == brute_force_isomorphic(p, q)
 
 
 # ---------------------------------------------------------------------------
