@@ -39,10 +39,6 @@ class Provenance:
             "commit_message": self.commit_message,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Provenance":
-        return cls(**data)
-
 
 @dataclass
 class ChangeGraph:

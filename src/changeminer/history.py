@@ -248,8 +248,9 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
                 graph = change_graph_for_pair(unit_b, unit_a, imports_b,
                                               imports_a, prov, mapper_cfg,
                                               context_hops, counts)
-            except (UnsupportedFunction, UnsupportedConstruct) as exc:
-                warnings.append(f"{commit.hash[:8]} {path}: {exc}")
+            except UnsupportedConstruct as exc:
+                warnings.append(f"{commit.hash[:8]} {path}: "
+                                f"{unit_b.qualified_name}: {exc}")
                 counts["unsupported"] += 1
                 continue
             if graph is None:
@@ -259,13 +260,6 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
             records.append(record_from_graph(graph))
     counts["graphs"] = len(records)
     return records, warnings, roots, counts
-
-
-class UnsupportedFunction(Exception):
-    """A changed function pair holds syntax the dependence graph cannot model."""
-
-    def __init__(self, qualified_name: str):
-        super().__init__(f"skipped unsupported function {qualified_name}")
 
 
 def unchanged_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
@@ -319,15 +313,13 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
 
     Pairs that cannot differ (see ``unchanged_pair``) skip the graph layers
     and are counted under ``pairs_unchanged`` in ``counts`` when given.
-    Raises UnsupportedFunction or UnsupportedConstruct for a changed pair
-    that cannot be modelled.
+    Raises UnsupportedConstruct for a changed pair that the dependence graph
+    builder cannot model.
     """
     if unchanged_pair(unit_b, unit_a, imports_b, imports_a):
         if counts is not None:
             counts["pairs_unchanged"] += 1
         return None
-    if not (unit_b.supported and unit_a.supported):
-        raise UnsupportedFunction(unit_b.qualified_name)
     g_b = build_fgpdg(unit_b, imports_b)
     g_a = build_fgpdg(unit_a, imports_a)
     tm = map_asts(unit_b.body, unit_a.body, mapper_cfg)

@@ -166,46 +166,22 @@ def load_corpus(store) -> list[CorpusGraph]:
 def collect_seeds(store, cfg: MiningConfig | None = None):
     """Mapped call pairs grouped by (before label, after label).
 
-    Same-label groups are pruned when no member graph has a changed node
-    within max_size hops of the pair, since they could never grow into a
-    pattern containing a change.
+    A same-label group is pruned when none of its member graphs has a changed
+    node, since it could never grow into a pattern containing a change. In a
+    store that ``mine`` wrote every graph has one, so only hand-built records
+    are pruned. ``cfg`` is unused; it is kept so that callers may pass the
+    search's config.
     """
-    cfg = cfg or MiningConfig()
     corpus = store if isinstance(store, list) else load_corpus(store)
     groups: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
     for graph in corpus:
         for b, a in graph.map_call_pairs:
             key = (graph.nodes[b].label, graph.nodes[a].label)
             groups.setdefault(key, []).append((graph.id, b, a))
-    by_id = {graph.id: graph for graph in corpus}
-    pruned = {}
-    for key, members in groups.items():
-        if key[0] == key[1] and not any(
-            _changed_within(by_id[gid], {b, a}, cfg.max_size)
-            for gid, b, a in members
-        ):
-            continue
-        pruned[key] = sorted(members)
-    return pruned
-
-
-def _changed_within(graph: CorpusGraph, start: set[int], hops: int) -> bool:
-    seen = set(start)
-    frontier = set(start)
-    if frontier & graph.changed:
-        return True
-    for _ in range(hops):
-        frontier = {
-            other
-            for nid in frontier
-            for _, _, _, other in graph.incident[nid]
-        } - seen
-        if frontier & graph.changed:
-            return True
-        if not frontier:
-            return False
-        seen |= frontier
-    return False
+    changed_ids = {graph.id for graph in corpus if graph.changed}
+    return {key: sorted(members) for key, members in groups.items()
+            if key[0] != key[1]
+            or any(gid in changed_ids for gid, _, _ in members)}
 
 
 # ---------------------------------------------------------------------------
@@ -448,17 +424,6 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
     corpus_index = {graph.id: graph for graph in corpus}
     seeds = collect_seeds(corpus, cfg)
 
-    seed_template_cache: dict[tuple[str, str], PatternGraph] = {}
-
-    def seed_template(labels: tuple[str, str]) -> PatternGraph:
-        if labels not in seed_template_cache:
-            seed_template_cache[labels] = PatternGraph(
-                (TNode("Before", "Operation", "call", labels[0]),
-                 TNode("After", "Operation", "call", labels[1])),
-                frozenset(), frozenset({(0, 1)}),
-            )
-        return seed_template_cache[labels]
-
     ordered_seeds = sorted(
         seeds.items(), key=lambda item: (-len(item[1]), item[0])
     )
@@ -468,7 +433,10 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
     warnings: list[str] = []
 
     for labels, members in ordered_seeds:
-        template = seed_template(labels)
+        template = PatternGraph(
+            (TNode("Before", "Operation", "call", labels[0]),
+             TNode("After", "Operation", "call", labels[1])),
+            frozenset(), frozenset({(0, 1)}))
         instances: list[Instance] = [(gid, (b, a)) for gid, b, a in members]
         if support_of(template, instances) < cfg.min_freq:
             continue

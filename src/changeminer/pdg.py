@@ -95,7 +95,12 @@ def _resolve_chain(node: AstNode, imports: ImportTable) -> str | None:
 
 
 def build_fgpdg(unit: FunctionUnit, imports: ImportTable | None = None) -> Fgpdg:
-    """Build the dependence graph for one supported function unit."""
+    """Build the dependence graph for one function unit.
+
+    This is the one check of what can be modelled: a ``yield`` or
+    ``yield from`` (outside a lambda, whose body stays opaque), a ``finally``
+    block or a ``match`` statement raises UnsupportedConstruct.
+    """
     builder = _Builder(imports or ImportTable())
     for child in unit.body.children:
         if child.kind == "Block" and child.label == "body":
@@ -154,7 +159,7 @@ class _Builder:
             # Nested defs are separate units; class bodies and imports carry
             # no function-level data flow.
             return
-        if kind in ("Yield", "YieldFrom", "Match"):
+        if kind == "Match":
             raise UnsupportedConstruct(kind, stmt.span)
         handler = getattr(self, "_stmt_" + kind.lower(), None)
         if handler is not None:
@@ -333,7 +338,7 @@ class _Builder:
             for child in expr.children:
                 out.extend(self.eval_expr(child))
             return out
-        if kind in ("Yield", "YieldFrom", "Match"):
+        if kind in ("Yield", "YieldFrom"):
             raise UnsupportedConstruct(kind, expr.span)
         # Unknown expression kinds contribute their children's flow.
         out = []

@@ -14,10 +14,6 @@ from functools import cached_property
 
 Span = tuple[int, int, int, int]
 
-# Constructs that the graph builder does not support; a function unit whose
-# (pruned) body contains one of these is kept but flagged supported=False.
-UNSUPPORTED_KINDS = frozenset({"Yield", "YieldFrom", "Match"})
-
 _BINOP_SYMBOLS = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//",
     ast.Mod: "%", ast.Pow: "**", ast.LShift: "<<", ast.RShift: ">>",
@@ -74,8 +70,9 @@ class FunctionUnit:
 
     A unit keeps its raw ``ast`` def and the lines of its file. The normalized
     ``body`` (nested defs reduced to stubs, so no tree node belongs to two
-    units), ``params``, ``supported`` and ``span`` are built from that def on
-    first access, so a unit that is never looked into is never converted.
+    units), ``params`` and ``span`` are built from that def on first access,
+    so a unit that is never looked into is never converted. Whether a unit
+    can be modelled is decided by the graph builder (``pdg``), not here.
     """
 
     def __init__(self, qualified_name: str,
@@ -96,10 +93,6 @@ class FunctionUnit:
             if child.kind == "Params":
                 return [p.label for p in child.children if p.kind == "Param"]
         return []
-
-    @cached_property
-    def supported(self) -> bool:
-        return _is_supported(self.body)
 
     @property
     def span(self) -> Span:
@@ -660,15 +653,6 @@ def _prune_nested(def_node: AstNode) -> AstNode:
         else:
             stack.extend(node.children)
     return def_node
-
-
-def _is_supported(body: AstNode) -> bool:
-    for node in body.preorder():
-        if node.kind in UNSUPPORTED_KINDS:
-            return False
-        if node.kind == "Block" and node.label == "finally":
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

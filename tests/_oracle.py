@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 PatternRecord, TNode, canonical_key)
-from changeminer.source import (AstNode, ImportTable, Span, _finish,
-                                _is_supported)
+from changeminer.source import AstNode, ImportTable, Span, _finish
 
 
 def _template_adjacency(t: PatternGraph) -> dict[int, set[int]]:
@@ -303,7 +302,6 @@ class FunctionUnit:
     qualified_name: str
     params: list[str]
     body: AstNode
-    supported: bool
     span: Span
 
 
@@ -346,8 +344,7 @@ def _make_unit(def_node: AstNode, qualified: str) -> FunctionUnit:
     for child in body.children:
         if child.kind == "Params":
             params = [p.label for p in child.children if p.kind == "Param"]
-    supported = _is_supported(body)
-    return FunctionUnit(qualified, params, body, supported, def_node.span)
+    return FunctionUnit(qualified, params, body, def_node.span)
 
 
 def _prune_nested(def_node: AstNode) -> AstNode:

@@ -141,8 +141,6 @@ def _units_of(path: Path):
 
 
 def _modelled(unit_b, imports_b, unit_a, imports_a):
-    if not (unit_b.supported and unit_a.supported):
-        return None
     try:
         return unit_pipeline(unit_b, imports_b, unit_a, imports_a)
     except UnsupportedConstruct:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
@@ -9,10 +10,11 @@ from changeminer import history
 from changeminer.changegraph import Provenance
 from changeminer.history import (ChangeGraphStore, CommitFilter, CommitInfo,
                                  RepoSpec, RepoUnavailable,
-                                 UnsupportedFunction, change_graph_for_pair,
+                                 change_graph_for_pair,
                                  list_commits, match_functions,
                                  mine_repository, module_path_for,
                                  pair_modified_files, read_repos_file)
+from changeminer.pdg import UnsupportedConstruct
 from changeminer.source import (build_import_table, extract_functions,
                                 parse_module)
 
@@ -220,11 +222,28 @@ def test_pair_whose_used_name_is_rebound_by_an_import_is_mined():
         (labels[b], labels[a]) for b, a in graph.map_edges}
 
 
-def test_changed_unsupported_pair_raises():
-    unit_b, unit_a, imports_b, imports_a = _pair(
-        "def gen():\n    yield one()\n", "def gen():\n    yield two()\n")
-    with pytest.raises(UnsupportedFunction, match="skipped unsupported function m.gen"):
+def test_changed_unsupported_pair_raises(tmp_path, caplog):
+    before, after = "def gen():\n    yield one()\n", "def gen():\n    yield two()\n"
+    unit_b, unit_a, imports_b, imports_a = _pair(before, after)
+    with pytest.raises(UnsupportedConstruct, match="unsupported construct Yield"):
         change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": before}, "initial")
+    commit_files(repo, {"mod.py": after}, "change generator")
+    with caplog.at_level(logging.WARNING, logger="changeminer.history"):
+        mine_into(tmp_path, repo)
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert "mod.py: mod.gen: unsupported construct Yield" in warning
+
+
+def test_changed_pair_with_yield_only_in_a_lambda_is_mined():
+    unit_b, unit_a, imports_b, imports_a = _pair(
+        "def f():\n    g = lambda: (yield)\n    return one(g)\n",
+        "def f():\n    g = lambda: (yield)\n    return two(g)\n")
+    graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
+    assert graph is not None
+    labels = {n.id: n.label for n in graph.nodes}
+    assert ("one", "two") in {(labels[b], labels[a]) for b, a in graph.map_edges}
 
 
 def test_rerun_writes_identical_store(tmp_path, copy_repo):

@@ -4,7 +4,8 @@ import pytest
 
 from changeminer.pdg import (CONTROL_EDGE_LABELS, DATA_EDGE_LABELS,
                              UnsupportedConstruct, build_fgpdg, resolve_callee)
-from changeminer.source import parse_module, parse_source
+from changeminer.source import (build_import_table, extract_functions,
+                                parse_module, parse_source)
 
 from conftest import FIG2_BEFORE, build_unit
 
@@ -112,7 +113,6 @@ def test_resolve_callee_alias_chain():
 
 
 def test_resolve_callee_cases():
-    from changeminer.source import build_import_table
     source = "import numpy as np\nx = np.zeros(3)\ny = obj.copy()\nz = set()\n"
     tree = parse_source(source)
     imports = build_import_table(parse_module(source))
@@ -178,9 +178,30 @@ def test_variables_carry_abstract_label():
 
 def test_unsupported_construct_raises_defensively():
     unit, imports = build_unit("def f():\n    yield 1\n")
-    assert unit.supported is False
     with pytest.raises(UnsupportedConstruct):
         build_fgpdg(unit, imports)
+
+
+@pytest.mark.parametrize("body,kind", [
+    ("    yield x", "Yield"),
+    ("    yield from xs", "YieldFrom"),
+    ("    try:\n        pass\n    finally:\n        pass", "finally"),
+    ("    match x:\n        case 1:\n            pass", "Match"),
+    ("    return x", None),
+    ("    try:\n        pass\n    except ValueError:\n        pass", None),
+    ("    f = lambda: (yield)", None),
+])
+def test_builder_is_the_one_unsupported_check(body, kind):
+    # A lambda body is opaque to the builder, so a yield inside it is no bar.
+    tree = parse_module(f"def f(x, xs):\n{body}\n")
+    units = extract_functions(tree, "m")
+    assert len(units) == 1
+    if kind is None:
+        build_fgpdg(units[0], build_import_table(tree))
+        return
+    with pytest.raises(UnsupportedConstruct) as err:
+        build_fgpdg(units[0], build_import_table(tree))
+    assert err.value.kind == kind
 
 
 def test_isolated_data_nodes_dropped():

@@ -130,24 +130,6 @@ def test_units_have_disjoint_bodies():
             seen.add(id(node))
 
 
-@pytest.mark.parametrize("body,expected", [
-    ("    yield x", False),
-    ("    yield from xs", False),
-    ("    try:\n        pass\n    finally:\n        pass", False),
-    ("    return x", True),
-    ("    try:\n        pass\n    except ValueError:\n        pass", True),
-])
-def test_supported_flag(body, expected):
-    units = extract_functions(parse_module(f"def f(x, xs):\n{body}\n"), "m")
-    assert units[0].supported is expected
-
-
-def test_generator_flagged_unsupported_but_kept():
-    units = extract_functions(parse_module("def gen():\n    yield 1\n"), "m")
-    assert len(units) == 1
-    assert units[0].supported is False
-
-
 def test_import_table_cases():
     source = (
         "import numpy as np\n"
@@ -209,7 +191,6 @@ def _matches_full_tree_frontend(source: str):
         assert [n.span for n in unit.body.preorder()] == \
             [n.span for n in old.body.preorder()], unit.qualified_name
         assert unit.params == old.params, unit.qualified_name
-        assert unit.supported == old.supported, unit.qualified_name
     assert build_import_table(module) == _oracle.build_import_table(tree)
     return units, build_import_table(module)
 
@@ -260,7 +241,6 @@ def test_defs_in_match_cases_are_units():
     units, table = _matches_full_tree_frontend(source)
     assert [u.qualified_name for u in units] == \
         ["m.dispatch", "m.dispatch.handler", "m.dispatch.handler#2"]
-    assert [u.supported for u in units] == [False, True, True]
     assert table.aliases == {"pick": "mod.one"}
 
 

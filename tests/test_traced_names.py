@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
@@ -35,3 +36,9 @@ def test_every_traced_name_resolves():
     assert set(child.STORE_METHODS) >= {"append", "finalize"}
     for method in child.STORE_METHODS:
         assert callable(getattr(store, method, None)), f"ChangeGraphStore.{method}"
+
+
+def test_collect_seeds_takes_the_config_positionally():
+    # The traced run calls collect_seeds(store, cfg); cfg is unused today.
+    mining = importlib.import_module("changeminer.mining")
+    inspect.signature(mining.collect_seeds).bind([], mining.MiningConfig())
