@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from changeminer.pdg import UnsupportedConstruct, build_fgpdg
 from changeminer.source import (build_import_table, extract_functions,
                                 parse_module, parse_source, same_tree)
 
@@ -128,6 +129,33 @@ def test_units_have_disjoint_bodies():
         for node in unit.body.preorder():
             assert id(node) not in seen
             seen.add(id(node))
+
+
+def _supported(unit, imports) -> bool:
+    try:
+        build_fgpdg(unit, imports)
+    except UnsupportedConstruct:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("body,expected", [
+    ("    yield x", False),
+    ("    f = lambda: (yield)", True),
+])
+def test_supported_flag(body, expected):
+    # The frontend keeps every def; only the graph builder decides support.
+    tree = parse_module(f"def f(x, xs):\n{body}\n")
+    units = extract_functions(tree, "m")
+    assert len(units) == 1
+    assert _supported(units[0], build_import_table(tree)) is expected
+
+
+def test_generator_flagged_unsupported_but_kept():
+    tree = parse_module("def gen():\n    yield 1\n")
+    units = extract_functions(tree, "m")
+    assert [u.qualified_name for u in units] == ["m.gen"]
+    assert _supported(units[0], build_import_table(tree)) is False
 
 
 def test_import_table_cases():
