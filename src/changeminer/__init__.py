@@ -11,7 +11,7 @@ from .changegraph import (ChangeGraph, Provenance, build_change_graph,
 from .history import (ChangeGraphStore, CommitFilter, RepoSpec,
                       RepoUnavailable, change_graph_for_pair, mine_repository,
                       read_repos_file)
-from .mapping import MapperConfig, TreeMapping, dice, map_asts, project_mapping
+from .mapping import TreeMapping, dice, map_asts, project_mapping
 from .mining import (MiningConfig, PatternGraph, PatternRecord, PatternSet,
                      canonical_key, collect_seeds, exact_isomorphic, extend,
                      filter_cross_project, filter_maximal, mine)
@@ -26,9 +26,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AstNode", "ChangeGraph", "ChangeGraphStore", "CommitFilter", "FgEdge",
-    "FgNode", "Fgpdg", "FunctionUnit", "ImportTable", "MapperConfig",
-    "MiningConfig", "Origin", "PatternGraph", "PatternRecord", "PatternSet",
-    "Provenance", "RepoSpec", "RepoUnavailable", "StructuralCategory",
+    "FgNode", "Fgpdg", "FunctionUnit", "ImportTable", "MiningConfig",
+    "Origin", "PatternGraph", "PatternRecord", "PatternSet", "Provenance",
+    "RepoSpec", "RepoUnavailable", "StructuralCategory",
     "TreeMapping", "UnsupportedConstruct", "build_change_graph",
     "build_fgpdg", "build_import_table", "call_origin", "canonical_key",
     "change_graph_for_pair", "collect_seeds", "dice", "exact_isomorphic",

@@ -90,20 +90,19 @@ def _edge_environments(graph: Fgpdg) -> dict[int, tuple]:
 
 def build_change_graph(g_b: Fgpdg, g_a: Fgpdg,
                        node_mapping: list[tuple[FgNode, FgNode]],
-                       prov: Provenance,
-                       context_hops: int = 1) -> ChangeGraph | None:
+                       prov: Provenance) -> ChangeGraph | None:
     """Assemble the united change graph, or None when nothing changed.
 
-    Keeps every changed node plus mapped unchanged nodes within
-    ``context_hops`` edges of a changed node in their own version, then adds
-    map edges for all retained mapped pairs.
+    Keeps every changed node plus the mapped unchanged nodes one edge away
+    from a changed node in their own version, then adds map edges for all
+    retained mapped pairs.
     """
     changed_b, changed_a = mark_changed(g_b, g_a, node_mapping)
     if not changed_b and not changed_a:
         return None
 
-    keep_b = _context(g_b, changed_b, {b.id for b, _ in node_mapping}, context_hops)
-    keep_a = _context(g_a, changed_a, {a.id for _, a in node_mapping}, context_hops)
+    keep_b = _context(g_b, changed_b, {b.id for b, _ in node_mapping})
+    keep_a = _context(g_a, changed_a, {a.id for _, a in node_mapping})
 
     nodes: list[FgNode] = []
     remap_b: dict[int, int] = {}
@@ -139,15 +138,11 @@ def _tagged(node: FgNode, new_id: int, version: str) -> FgNode:
     return out
 
 
-def _context(graph: Fgpdg, changed: set[int], mapped: set[int],
-             hops: int) -> set[int]:
-    neighbours: dict[int, set[int]] = {node.id: set() for node in graph.nodes}
-    for edge in graph.edges:
-        neighbours[edge.src].add(edge.dst)
-        neighbours[edge.dst].add(edge.src)
+def _context(graph: Fgpdg, changed: set[int], mapped: set[int]) -> set[int]:
     keep = set(changed)
-    frontier = set(changed)
-    for _ in range(hops):
-        frontier = {n for node in frontier for n in neighbours[node]} - keep
-        keep |= {n for n in frontier if n in mapped}
+    for edge in graph.edges:
+        if edge.src in changed and edge.dst in mapped:
+            keep.add(edge.dst)
+        if edge.dst in changed and edge.src in mapped:
+            keep.add(edge.src)
     return keep

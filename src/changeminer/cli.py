@@ -2,7 +2,8 @@
 
 Option precedence is flags over config file over built-in defaults. A config
 file holds `key = value` lines with '#' comments; keys are the long flag
-names with underscores (e.g. ``min_freq = 3``).
+names with underscores (e.g. ``min_freq = 3``), and `mine` and `patterns`
+each accept only their own.
 """
 
 from __future__ import annotations
@@ -11,11 +12,11 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .history import (SCHEMA_VERSION, ChangeGraphStore, CommitFilter,
                       RepoUnavailable, mine_repository, read_repos_file)
-from .mapping import MapperConfig
 from .mining import MiningConfig, load_corpus, mine
 from .origins import structural_category
 from .report import (export_graph, graph_from_dict, load_pattern_dir,
@@ -23,26 +24,24 @@ from .report import (export_graph, graph_from_dict, load_pattern_dir,
 
 log = logging.getLogger("changeminer")
 
-_CONFIG_KEYS = {
-    "jobs": int,
-    "max_files_per_commit": int,
-    "skip_merges": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "path_glob": str,
-    "context_hops": int,
-    "min_height": int,
-    "dice_threshold": float,
-    "max_subtree_compare": int,
-    "min_size": int,
-    "min_freq": int,
-    "max_size": int,
-    "max_extensions_per_step": int,
-    "per_seed_time_budget": float,
-    "cross_project_only": lambda v: v.lower() in ("1", "true", "yes", "on"),
-    "keep_subpatterns": lambda v: v.lower() in ("1", "true", "yes", "on"),
+# The settings of each command that takes --config, with their defaults: the
+# fields of the dataclass it builds. A config-file value takes its default's type.
+_SETTINGS = {
+    "mine": {f.name: f.default for f in fields(CommitFilter)} | {"jobs": 1},
+    "patterns": {f.name: f.default for f in fields(MiningConfig)},
 }
 
 
+def _parse_value(default, text: str):
+    if isinstance(default, bool):
+        return text.lower() in ("1", "true", "yes", "on")
+    return type(default)(text)
+
+
 def read_config_file(path: str | Path) -> dict:
+    """Typed values of a config file; a key no command takes is an error."""
+    known = {key: default for settings in _SETTINGS.values()
+             for key, default in settings.items()}
     values: dict = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -52,18 +51,24 @@ def read_config_file(path: str | Path) -> dict:
             raise ValueError(f"malformed config line: {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise ValueError(f"unknown config key: {key}")
-        values[key] = _CONFIG_KEYS[key](value.strip())
+        values[key] = _parse_value(known[key], value.strip())
     return values
 
 
-def _merged(args: argparse.Namespace, defaults: dict) -> dict:
-    values = dict(defaults)
-    if getattr(args, "config", None):
-        values.update(read_config_file(args.config))
-    for key in defaults:
-        flag_value = getattr(args, key, None)
+def _merged(args: argparse.Namespace) -> dict:
+    """The command's settings: flags over config file over defaults."""
+    values = dict(_SETTINGS[args.command])
+    if args.config:
+        config = read_config_file(args.config)
+        foreign = sorted(config.keys() - values.keys())
+        if foreign:
+            raise ValueError(f"config keys not taken by {args.command}: "
+                             + ", ".join(foreign))
+        values.update(config)
+    for key in values:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             values[key] = flag_value
     return values
@@ -86,8 +91,6 @@ def main(argv: list[str] | None = None) -> int:
     p_mine.add_argument("--skip-merges", action=argparse.BooleanOptionalAction,
                         default=None, dest="skip_merges")
     p_mine.add_argument("--path-glob", default=None, dest="path_glob")
-    p_mine.add_argument("--context-hops", type=int, default=None,
-                        dest="context_hops")
     p_mine.add_argument("--config", default=None)
     p_mine.add_argument("-v", "--verbose", action="store_true")
 
@@ -136,11 +139,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    values = _merged(args, {
-        "jobs": 1, "max_files_per_commit": 50, "skip_merges": True,
-        "path_glob": "**/*.py", "context_hops": 1, "min_height": 2,
-        "dice_threshold": 0.5, "max_subtree_compare": 100,
-    })
+    values = _merged(args)
+    jobs = values.pop("jobs")
+    filt = CommitFilter(**values)
     try:
         specs = read_repos_file(args.repos)
     except (OSError, ValueError) as exc:
@@ -150,20 +151,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
         print("error: repos file lists no repositories", file=sys.stderr)
         return 1
 
-    filt = CommitFilter(skip_merges=values["skip_merges"],
-                        max_files_per_commit=values["max_files_per_commit"],
-                        path_glob=values["path_glob"])
-    mapper_cfg = MapperConfig(min_height=values["min_height"],
-                              dice_threshold=values["dice_threshold"],
-                              max_subtree_compare=values["max_subtree_compare"])
     store = ChangeGraphStore(args.out)
+    store.clear()
     repos_info: dict[str, dict] = {}
     total = 0
     failures = []
     for spec in specs:
         try:
-            info = mine_repository(spec, filt, store, mapper_cfg,
-                                   values["context_hops"], values["jobs"])
+            info = mine_repository(spec, filt, store, jobs)
         except RepoUnavailable as exc:
             failures.append(spec.repo_id)
             log.warning("repository %s unavailable: %s", spec.repo_id, exc)
@@ -175,10 +170,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         repos_info[spec.repo_id] = info
         total += info["graphs"]
         print(f"{spec.repo_id}: {info['graphs']} change graphs")
-    config = {k: values[k] for k in ("max_files_per_commit", "skip_merges",
-                                     "path_glob", "context_hops", "min_height",
-                                     "dice_threshold", "max_subtree_compare")}
-    store.finalize(config, repos_info)
+    store.finalize(asdict(filt), repos_info)
     print(f"total: {total} change graphs from {len(specs) - len(failures)} repositories")
     if failures:
         print("unavailable: " + ", ".join(sorted(failures)), file=sys.stderr)
@@ -186,11 +178,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_patterns(args: argparse.Namespace) -> int:
-    values = _merged(args, {
-        "min_size": 4, "min_freq": 3, "max_size": 20,
-        "max_extensions_per_step": 64, "per_seed_time_budget": 60.0,
-        "cross_project_only": False, "keep_subpatterns": False,
-    })
+    cfg = MiningConfig(**_merged(args))
     store = ChangeGraphStore(args.store)
     manifest = store.manifest()
     if manifest.get("schema_version") != SCHEMA_VERSION:
@@ -199,13 +187,6 @@ def cmd_patterns(args: argparse.Namespace) -> int:
               f"{SCHEMA_VERSION}", file=sys.stderr)
         return 1
 
-    cfg = MiningConfig(
-        min_size=values["min_size"], min_freq=values["min_freq"],
-        max_size=values["max_size"],
-        max_extensions_per_step=values["max_extensions_per_step"],
-        per_seed_time_budget=values["per_seed_time_budget"],
-        cross_project_only=values["cross_project_only"],
-        keep_subpatterns=values["keep_subpatterns"])
     corpus = load_corpus(store)
     corpus_index = {graph.id: graph for graph in corpus}
     patterns = mine(corpus, cfg)
@@ -222,9 +203,9 @@ def cmd_patterns(args: argparse.Namespace) -> int:
             record.graph, record.instances, corpus_index,
             frozenset(modules)).value
 
-    mining_config = {k: values[k] for k in (
-        "min_size", "min_freq", "max_size", "max_extensions_per_step",
-        "cross_project_only", "keep_subpatterns")}
+    # The wall-clock budget is left out: its hits are listed as warnings.
+    mining_config = asdict(cfg)
+    del mining_config["per_seed_time_budget"]
     write_pattern_set(patterns, args.out, store, mining_config)
     samples = sum(record.support for record in patterns.patterns)
     print(f"{len(patterns.patterns)} patterns, {samples} samples")

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
                           build_change_graph, hash_email)
-from .mapping import MapperConfig, map_asts, project_mapping
+from .mapping import map_asts, project_mapping
 from .pdg import UnsupportedConstruct, build_fgpdg
 from .source import (FunctionUnit, ImportTable, build_import_table,
                      extract_functions, parse_module, same_tree)
@@ -216,9 +216,7 @@ def _function_source(unit: FunctionUnit) -> dict:
             "start_line": unit.line_range[0]}
 
 
-def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
-                      mapper_cfg: MapperConfig | None = None,
-                      context_hops: int = 1
+def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
                       ) -> tuple[list[dict], list[str], set[str], Counter]:
     """Records, warnings, module roots and REPO_COUNTERS of one commit."""
     records: list[dict] = []
@@ -246,8 +244,7 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
                               unit_b.qualified_name, author_hash, commit.message)
             try:
                 graph = change_graph_for_pair(unit_b, unit_a, imports_b,
-                                              imports_a, prov, mapper_cfg,
-                                              context_hops, counts)
+                                              imports_a, prov, counts)
             except UnsupportedConstruct as exc:
                 warnings.append(f"{commit.hash[:8]} {path}: "
                                 f"{unit_b.qualified_name}: {exc}")
@@ -306,8 +303,6 @@ def _same_body(unit_b: FunctionUnit, unit_a: FunctionUnit,
 def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
                           imports_b: ImportTable, imports_a: ImportTable,
                           prov: Provenance,
-                          mapper_cfg: MapperConfig | None = None,
-                          context_hops: int = 1,
                           counts: Counter | None = None) -> ChangeGraph | None:
     """Change graph of one matched function pair, or None when nothing changed.
 
@@ -322,9 +317,9 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
         return None
     g_b = build_fgpdg(unit_b, imports_b)
     g_a = build_fgpdg(unit_a, imports_a)
-    tm = map_asts(unit_b.body, unit_a.body, mapper_cfg)
+    tm = map_asts(unit_b.body, unit_a.body)
     nm = project_mapping(tm, g_b, g_a)
-    return build_change_graph(g_b, g_a, nm, prov, context_hops)
+    return build_change_graph(g_b, g_a, nm, prov)
 
 
 def record_from_graph(graph: ChangeGraph) -> dict:
@@ -374,6 +369,11 @@ class ChangeGraphStore:
         self._records_path = self.root / self.RECORDS
         self._manifest_path = self.root / self.MANIFEST
 
+    def clear(self) -> None:
+        """Drop an earlier run's records and manifest; cloned repositories stay."""
+        self._records_path.unlink(missing_ok=True)
+        self._manifest_path.unlink(missing_ok=True)
+
     def append(self, record: dict) -> None:
         with open(self._records_path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(record, sort_keys=True) + "\n")
@@ -418,24 +418,21 @@ class ChangeGraphStore:
 
 
 def _commit_job(args) -> tuple[list[dict], list[str], set[str], Counter]:
-    spec, commit, filt, mapper_cfg, context_hops = args
+    spec, commit, filt = args
     try:
-        return graphs_for_commit(spec, commit, filt, mapper_cfg, context_hops)
+        return graphs_for_commit(spec, commit, filt)
     except subprocess.CalledProcessError as exc:
         return [], [f"{commit.hash[:8]}: git failure ({exc})"], set(), Counter()
 
 
 def mine_repository(spec: RepoSpec, filt: CommitFilter,
-                    store: ChangeGraphStore,
-                    mapper_cfg: MapperConfig | None = None,
-                    context_hops: int = 1,
-                    jobs: int = 1) -> dict:
+                    store: ChangeGraphStore, jobs: int = 1) -> dict:
     """Mine one repository into the store; returns per-repo summary info."""
     repo_path = open_repository(spec, store.root / "_repos")
     commits = [c for c in list_commits(repo_path)
                if len(c.parents) == 1 or (c.parents and not filt.skip_merges)]
-    job_args = [(RepoSpec(repo_path, spec.repo_id, spec.domain_tag), c, filt,
-                 mapper_cfg, context_hops) for c in commits]
+    job_args = [(RepoSpec(repo_path, spec.repo_id, spec.domain_tag), c, filt)
+                for c in commits]
 
     warnings: list[str] = []
     roots: set[str] = set()

@@ -16,17 +16,12 @@ from dataclasses import dataclass, field
 from .source import AstNode
 
 
-@dataclass
-class MapperConfig:
-    min_height: int = 2
-    dice_threshold: float = 0.5
-    max_subtree_compare: int = 100
-
-    def __post_init__(self):
-        if self.min_height < 1:
-            raise ValueError("min_height must be >= 1")
-        if not 0.0 <= self.dice_threshold <= 1.0:
-            raise ValueError("dice_threshold must be in [0, 1]")
+# Smallest subtree height the top-down phase pairs as a whole.
+MIN_HEIGHT = 2
+# Least Dice coefficient at which the bottom-up phase pairs two containers.
+DICE_THRESHOLD = 0.5
+# Most candidates compared per subtree, and leaves paired per label group.
+MAX_SUBTREE_COMPARE = 100
 
 
 @dataclass
@@ -125,19 +120,17 @@ def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
     return 2.0 * mapped / denom
 
 
-def map_asts(before: AstNode, after: AstNode,
-             cfg: MapperConfig | None = None) -> TreeMapping:
-    cfg = cfg or MapperConfig()
+def map_asts(before: AstNode, after: AstNode) -> TreeMapping:
     t1, t2 = _TreeIndex(before), _TreeIndex(after)
     mapping = TreeMapping()
-    _match_top_down(t1, t2, mapping, cfg)
+    _match_top_down(t1, t2, mapping)
     if not mapping.has_before(before) and not mapping.has_after(after) \
             and before.kind == after.kind:
         mapping.add(before, after)
     changed = True
     while changed:
-        changed = _match_bottom_up(t1, t2, mapping, cfg)
-        changed = _recover_leaves(t1, t2, mapping, cfg) or changed
+        changed = _match_bottom_up(t1, t2, mapping)
+        changed = _recover_leaves(t1, t2, mapping) or changed
     return mapping
 
 
@@ -147,11 +140,11 @@ def _map_subtrees(a: AstNode, b: AstNode, mapping: TreeMapping) -> None:
         _map_subtrees(ca, cb, mapping)
 
 
-def _match_top_down(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
-                    cfg: MapperConfig) -> None:
+def _match_top_down(t1: _TreeIndex, t2: _TreeIndex,
+                    mapping: TreeMapping) -> None:
     heights = sorted(
-        {h for h in t1.height.values() if h >= cfg.min_height}
-        & {h for h in t2.height.values() if h >= cfg.min_height},
+        {h for h in t1.height.values() if h >= MIN_HEIGHT}
+        & {h for h in t2.height.values() if h >= MIN_HEIGHT},
         reverse=True,
     )
     for h in heights:
@@ -176,7 +169,7 @@ def _match_top_down(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
                     if id(node_a) in taken or mapping.has_after(node_a):
                         continue
                     compared += 1
-                    if compared > cfg.max_subtree_compare:
+                    if compared > MAX_SUBTREE_COMPARE:
                         break
                     parent_bonus = (
                         node_b.parent is not None and node_a.parent is not None
@@ -191,8 +184,8 @@ def _match_top_down(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
                     _map_subtrees(node_b, best[1], mapping)
 
 
-def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
-                     cfg: MapperConfig) -> bool:
+def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
+                     mapping: TreeMapping) -> bool:
     added = False
     for node_b in reversed(t1.order):  # children before parents
         if node_b.is_leaf() or mapping.has_before(node_b):
@@ -201,7 +194,7 @@ def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
         best = None
         for node_a in candidates:
             score = dice(node_b, node_a, mapping, t1, t2)
-            if score < cfg.dice_threshold:
+            if score < DICE_THRESHOLD:
                 continue
             distance = abs(t1.index[id(node_b)] - t2.index[id(node_a)])
             rank = (-score, distance, t2.index[id(node_a)])
@@ -234,8 +227,8 @@ def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
     return out
 
 
-def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
-                    cfg: MapperConfig) -> bool:
+def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,
+                    mapping: TreeMapping) -> bool:
     added = False
     # Innermost containers claim their leaves first (postorder of before tree).
     for container_b in reversed(t1.order):
@@ -255,8 +248,8 @@ def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex, mapping: TreeMapping,
             leaves_b, leaves_a = groups[key]
             leaves_b.sort(key=lambda n: t1.index[id(n)])
             leaves_a.sort(key=lambda n: t2.index[id(n)])
-            for leaf_b, leaf_a in zip(leaves_b[:cfg.max_subtree_compare],
-                                      leaves_a[:cfg.max_subtree_compare]):
+            for leaf_b, leaf_a in zip(leaves_b[:MAX_SUBTREE_COMPARE],
+                                      leaves_a[:MAX_SUBTREE_COMPARE]):
                 if mapping.add(leaf_b, leaf_a):
                     added = True
         if _pair_unique_children(container_b, container_a, mapping):

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import html
 import json
+import re
+import shutil
 from pathlib import Path
 
 from .history import SCHEMA_VERSION, TOOL_VERSION, ChangeGraphStore
@@ -112,6 +114,11 @@ def write_pattern_set(patterns: PatternSet, out_dir: str | Path,
         "repos": store_manifest.get("repos", {}),
     }
     _dump(out / "manifest.json", manifest)
+    # An earlier run into the same directory may have written more patterns.
+    for path in out.iterdir():
+        number = re.fullmatch(r"pattern-(\d+)", path.name)
+        if number and int(number[1]) > len(patterns.patterns):
+            shutil.rmtree(path)
 
 
 def _changed_spans(record: dict) -> dict:

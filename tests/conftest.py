@@ -29,15 +29,13 @@ def build_unit(source: str, index: int = 0, module: str = "m"):
 
 
 def change_graph_for(before_src: str, after_src: str, repo: str = "repo",
-                     commit: str = "c1", path: str = "a.py",
-                     context_hops: int = 1):
+                     commit: str = "c1", path: str = "a.py"):
     unit_b, imports_b = build_unit(before_src)
     unit_a, imports_a = build_unit(after_src)
     prov = Provenance(repo, commit, commit + "p", path,
                       "m." + unit_b.qualified_name.split(".", 1)[-1],
                       hash_email("dev@example.com"), "change")
-    return change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov,
-                                 context_hops=context_hops)
+    return change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov)
 
 
 def change_record(before_src: str, after_src: str, repo: str = "repo",

@@ -98,7 +98,7 @@ def test_context_pruning_keeps_one_hop_neighbours():
         "    return checker(z)\n"
     )
     after = before.replace("checker", "verifier")
-    graph = change_graph_for(before, after, context_hops=1)
+    graph = change_graph_for(before, after)
     labels_before = {(n.label, n.concrete_name) for n in graph.nodes
                      if n.version == "Before"}
     # changed call, its argument var, plus 1-hop mapped neighbour of z (third)
@@ -108,14 +108,6 @@ def test_context_pruning_keeps_one_hop_neighbours():
     # two hops away: the argument vars of third and everything upstream
     assert ("var", "x") not in labels_before
     assert ("first", "first") not in labels_before
-
-
-def test_context_zero_keeps_only_changed_nodes():
-    before = "def f(a):\n    x = g(a)\n    return check(x)\n"
-    after = "def f(a):\n    x = g(a)\n    return verify(x)\n"
-    graph = change_graph_for(before, after, context_hops=0)
-    by_id = {n.id: n for n in graph.nodes}
-    assert set(by_id) == graph.changed
 
 
 def test_all_map_edges_connect_surviving_nodes():

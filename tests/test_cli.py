@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from changeminer.cli import main, read_config_file
 from changeminer.history import ChangeGraphStore
+from changeminer.report import load_pattern_dir
 
 from gitrepos import commit_files, init_repo
 from test_history import COPY_AFTER, COPY_BEFORE
@@ -16,6 +19,21 @@ def small_repo(tmp_path):
     repo = init_repo(tmp_path / "repo")
     commit_files(repo, {"mod.py": COPY_BEFORE}, "initial")
     commit_files(repo, {"mod.py": COPY_AFTER}, "deepcopy state")
+    return repo
+
+
+@pytest.fixture
+def twin_repo(tmp_path):
+    """One commit makes the same change in two files."""
+    repo = init_repo(tmp_path / "twin")
+    commit_files(repo, {
+        "one.py": "def f(x):\n    return g(x)\n",
+        "two.py": "def k(y):\n    return g(y)\n",
+    }, "initial")
+    commit_files(repo, {
+        "one.py": "def f(x):\n    return h(x)\n",
+        "two.py": "def k(y):\n    return h(y)\n",
+    }, "swap helper everywhere")
     return repo
 
 
@@ -184,3 +202,86 @@ def test_flags_override_config(tmp_path, small_repo, capsys):
                  "--min-freq", "2", "--min-size", "2"]) == 0
     manifest = json.loads((tmp_path / "p1" / "manifest.json").read_text())
     assert manifest["config"]["min_freq"] == 2
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_rerunning_mine_rewrites_the_same_store(tmp_path, small_repo, capsys):
+    listing = write_repos(tmp_path, [f"r1 {small_repo}"])
+    store = tmp_path / "store"
+    assert main(["mine", "--repos", listing, "--out", str(store)]) == 0
+    first = {name: (store / name).read_bytes()
+             for name in ("records.jsonl", "manifest.json")}
+    assert main(["mine", "--repos", listing, "--out", str(store)]) == 0
+    assert "total: 1 change graphs" in capsys.readouterr().out
+    for name, content in first.items():
+        assert (store / name).read_bytes() == content, name
+    assert json.loads(first["manifest.json"])["record_count"] == 1
+
+
+def test_rerunning_patterns_removes_stale_pattern_dirs(tmp_path, twin_repo,
+                                                       capsys):
+    listing = write_repos(tmp_path, [f"rc {twin_repo}"])
+    main(["mine", "--repos", listing, "--out", str(tmp_path / "store")])
+    args = ["patterns", "--store", str(tmp_path / "store"),
+            "--min-freq", "2", "--min-size", "2"]
+    out = tmp_path / "patterns"
+    assert main(args + ["--out", str(out), "--keep-subpatterns"]) == 0
+    assert len(load_pattern_dir(out)) > 1
+    (out / "notes.txt").write_text("kept\n")
+    assert main(args + ["--out", str(out)]) == 0
+    assert main(args + ["--out", str(tmp_path / "fresh")]) == 0
+    capsys.readouterr()
+
+    rerun = _files(out)
+    assert rerun.pop("notes.txt") == b"kept\n"
+    assert rerun == _files(tmp_path / "fresh")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(load_pattern_dir(out)) == manifest["pattern_count"] == 1
+    assert main(["stats", "--patterns", str(out)]) == 0
+    assert "patterns: 1" in capsys.readouterr().out.splitlines()
+
+
+def test_mine_config_file_reaches_the_commit_filter(tmp_path, twin_repo, capsys):
+    config = tmp_path / "mine.cfg"
+    config.write_text("max_files_per_commit = 1\nskip_merges = false\n")
+    listing = write_repos(tmp_path, [f"rc {twin_repo}"])
+    assert main(["mine", "--repos", listing, "--out", str(tmp_path / "store"),
+                 "--config", str(config)]) == 0
+    # the one change commit touches two files, over the cap of one
+    assert "total: 0 change graphs" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
+    assert manifest["config"] == {"max_files_per_commit": 1,
+                                  "skip_merges": False, "path_glob": "**/*.py"}
+
+
+def test_config_file_rejects_another_commands_keys(tmp_path, small_repo,
+                                                   capsys):
+    listing = write_repos(tmp_path, [f"r1 {small_repo}"])
+    main(["mine", "--repos", listing, "--out", str(tmp_path / "store")])
+    capsys.readouterr()
+    config = tmp_path / "patterns.cfg"
+    config.write_text("min_freq = 2\njobs = 2\n")
+    assert main(["patterns", "--store", str(tmp_path / "store"),
+                 "--out", str(tmp_path / "patterns"),
+                 "--config", str(config)]) == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not (tmp_path / "patterns").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize("command", ["mine", "patterns"])
+def test_readme_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    printed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    missing = printed - set(re.findall(r"--[a-z][a-z-]*", section))
+    assert not missing, f"README's Command line section lacks {sorted(missing)}"

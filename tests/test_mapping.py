@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from hypothesis import given, strategies as st
 
-from changeminer.mapping import MapperConfig, TreeMapping, dice, map_asts
+from changeminer.mapping import TreeMapping, dice, map_asts
 from changeminer.source import AstNode, parse_source
 
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit
@@ -133,11 +133,3 @@ def test_random_pairs_stay_injective(spec1, spec2):
     assert len({id(b) for b, _ in mapping.pairs}) == len(mapping.pairs)
     assert len({id(a) for _, a in mapping.pairs}) == len(mapping.pairs)
     assert all(b.kind == a.kind for b, a in mapping.pairs)
-
-
-def test_min_height_config_limits_top_down_phase():
-    a = parse_source("x = f(1)\ny = 2\n")
-    b = parse_source("x = f(1)\nz = 3\n")
-    strict = map_asts(a, b, MapperConfig(min_height=5))
-    relaxed = map_asts(a, b, MapperConfig(min_height=2))
-    assert len(strict) <= len(relaxed)
