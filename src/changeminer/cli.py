@@ -20,7 +20,8 @@ from .history import (SCHEMA_VERSION, ChangeGraphStore, CommitFilter,
 from .mining import MiningConfig, load_corpus, mine
 from .origins import structural_category
 from .report import (export_graph, graph_from_dict, load_pattern_dir,
-                     render_html, stats_report, write_pattern_set)
+                     remove_stale, render_html, stats_report,
+                     write_pattern_set)
 
 log = logging.getLogger("changeminer")
 
@@ -32,9 +33,16 @@ _SETTINGS = {
 }
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
 def _parse_value(default, text: str):
     if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes", "on")
+        value = _BOOLEANS.get(text.lower())
+        if value is None:
+            raise ValueError(f"not a boolean: {text!r}")
+        return value
     return type(default)(text)
 
 
@@ -53,7 +61,10 @@ def read_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in known:
             raise ValueError(f"unknown config key: {key}")
-        values[key] = _parse_value(known[key], value.strip())
+        try:
+            values[key] = _parse_value(known[key], value.strip())
+        except ValueError as exc:
+            raise ValueError(f"config key {key}: {exc}") from None
     return values
 
 
@@ -228,6 +239,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         pattern = graph_from_dict(entry["graph"])
         path = out / (entry["meta"]["name"] + suffix)
         path.write_text(export_graph(pattern, fmt), encoding="utf-8")
+    remove_stale(out, {entry["meta"]["name"] for entry in entries}, suffix)
     print(f"wrote {len(entries)} {args.format} files to {out}")
     return 0
 

@@ -166,25 +166,24 @@ def pair_modified_files(commit: CommitInfo,
     Renames are disabled in the diff so they surface as delete+add and drop
     out; commits touching more files than the cap are skipped entirely.
     """
-    parent = commit.parents[0]
-    raw = _git(commit.repo_path, "diff-tree", "-r", "--no-renames",
-               "--name-status", parent, commit.hash)
-    entries = [line.split("\t", 1) for line in
-               raw.decode("utf-8", errors="replace").splitlines() if line]
+    # -z: each entry is ":modes blobs status" and then its path, NUL-separated
+    # and unquoted. Blobs are read by id: a path that is not UTF-8 does not
+    # survive decoding.
+    raw = _git(commit.repo_path, "diff-tree", "-r", "-z", "--no-renames",
+               commit.parents[0], commit.hash)
+    fields = raw.decode("utf-8", errors="replace").split("\0")[:-1]
+    entries = [(meta.split(), path) for meta, path in zip(fields[0::2], fields[1::2])]
     if len(entries) > filt.max_files_per_commit:
         log.info("skipping %s: %d files exceeds cap %d",
                  commit.hash[:8], len(entries), filt.max_files_per_commit)
         return []
     matcher = _glob_to_regex(filt.path_glob)
     pairs = []
-    for entry in entries:
-        if len(entry) != 2:
-            continue
-        status, path = entry[0].strip(), entry[1]
+    for (_, _, before_blob, after_blob, status), path in entries:
         if status != "M" or not matcher.match(path):
             continue
-        before = _git(commit.repo_path, "show", f"{parent}:{path}")
-        after = _git(commit.repo_path, "show", f"{commit.hash}:{path}")
+        before = _git(commit.repo_path, "cat-file", "blob", before_blob)
+        after = _git(commit.repo_path, "cat-file", "blob", after_blob)
         pairs.append((before.decode("utf-8", errors="replace"),
                       after.decode("utf-8", errors="replace"), path))
     return pairs

@@ -114,11 +114,23 @@ def write_pattern_set(patterns: PatternSet, out_dir: str | Path,
         "repos": store_manifest.get("repos", {}),
     }
     _dump(out / "manifest.json", manifest)
-    # An earlier run into the same directory may have written more patterns.
+    remove_stale(out, {pattern_dir_name(i) for i in range(len(patterns.patterns))})
+
+
+def remove_stale(out: Path, names: set[str], suffix: str = "") -> None:
+    """Remove each ``pattern-NNNN<suffix>`` entry of ``out`` not in ``names``.
+
+    An earlier run into the same directory may have written more patterns;
+    every other file stays.
+    """
     for path in out.iterdir():
-        number = re.fullmatch(r"pattern-(\d+)", path.name)
-        if number and int(number[1]) > len(patterns.patterns):
+        match = re.fullmatch(r"(pattern-\d+)" + re.escape(suffix), path.name)
+        if not match or match[1] in names:
+            continue
+        if path.is_dir():
             shutil.rmtree(path)
+        else:
+            path.unlink()
 
 
 def _changed_spans(record: dict) -> dict:
@@ -330,6 +342,7 @@ def render_html(patterns_dir: str | Path, out_dir: str | Path) -> int:
         path = out / (entry["meta"]["name"] + ".html")
         path.write_text(render_pattern_page(entry), encoding="utf-8")
     (out / "index.html").write_text(render_index_page(entries), encoding="utf-8")
+    remove_stale(out, {entry["meta"]["name"] for entry in entries}, ".html")
     return len(entries)
 
 

@@ -3,6 +3,15 @@
 The normalized tree is a plain labelled ordered tree. It deliberately forgets
 formatting and comments so that whitespace-only edits parse to equal trees,
 which in turn keeps the downstream change graphs quiet on cosmetic commits.
+
+One table, ``_TABLE``, says how each ``ast`` class becomes a tree node. Most
+rows give the node's kind, a label function and the child fields to convert
+in order; a statement list becomes a labelled ``Block``. The few constructs
+that make wrapper nodes or take their span from another node (parameters,
+call keywords, ``**`` in dicts, comprehension clauses, annotations, with
+items, match cases, imports, constants) have a function instead. A class the
+table does not list becomes a node named after it, with every child node
+converted, so parsing stays total over rare or future grammar.
 """
 
 from __future__ import annotations
@@ -157,10 +166,13 @@ def parse_source(text: str | bytes) -> AstNode:
 # ---------------------------------------------------------------------------
 
 
-def _span_of(node: ast.AST) -> Span | None:
+_NO_SPAN: Span = (0, 0, 0, 0)
+
+
+def _span_of(node: ast.AST) -> Span:
     lineno = getattr(node, "lineno", None)
     if lineno is None:
-        return None
+        return _NO_SPAN
     end_lineno = getattr(node, "end_lineno", None) or lineno
     col = getattr(node, "col_offset", 0)
     end_col = getattr(node, "end_col_offset", None)
@@ -169,399 +181,220 @@ def _span_of(node: ast.AST) -> Span | None:
     return (lineno, col, end_lineno, end_col)
 
 
-def _new(kind: str, node: ast.AST | None = None, label: str = "") -> AstNode:
-    span = _span_of(node) if node is not None else None
-    return AstNode(kind, label, span=span or (0, 0, 0, 0))
-
-
-def _block(label: str, stmts, parent: AstNode) -> None:
-    if not stmts:
-        return
-    block = parent.add(_new("Block", label=label))
-    for stmt in stmts:
-        block.add(_convert(stmt))
+_OPERATORS = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop)
 
 
 def _convert(node: ast.AST) -> AstNode:
-    handler = _HANDLERS.get(type(node).__name__, _convert_generic)
-    return handler(node)
-
-
-def _convert_generic(node: ast.AST) -> AstNode:
-    # Fallback for syntax the explicit handlers do not cover; keeps parsing
-    # total over future/rare grammar nodes.
-    out = _new(type(node).__name__, node)
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.expr_context, ast.operator, ast.boolop,
-                              ast.unaryop, ast.cmpop)):
+    entry = _TABLE.get(type(node).__name__)
+    if entry is None:
+        # Syntax the table does not list becomes a node named after its class,
+        # so parsing stays total over rare or future grammar.
+        children = [_convert(child) for child in ast.iter_child_nodes(node)
+                    if not isinstance(child, _OPERATORS)]
+        return AstNode(type(node).__name__, "", children, _span_of(node))
+    if type(entry) is not tuple:
+        return entry(node)
+    kind, label_of, fields = entry
+    children = []
+    for name in fields:
+        if type(name) is tuple:
+            block_label, name = name
+            stmts = getattr(node, name)
+            if stmts:
+                children.append(AstNode("Block", block_label,
+                                        [_convert(stmt) for stmt in stmts]))
             continue
-        out.add(_convert(child))
-    return out
+        value = getattr(node, name)
+        if type(value) is list:
+            for item in value:
+                children.append(_convert(item))
+        elif value is not None:
+            children.append(_convert(value))
+    return AstNode(kind, label_of(node) if label_of else "", children, _span_of(node))
 
 
-def _convert_module(node: ast.Module) -> AstNode:
-    out = _new("Module", node)
-    for stmt in node.body:
-        out.add(_convert(stmt))
-    return out
+# Children that can chain deeply (a call's callee and arguments) are converted
+# by calling _convert directly: every extra stack frame per level would make a
+# long chain such as ``a.b().c().d()`` hit the recursion limit sooner.
 
 
-def _convert_functiondef(node) -> AstNode:
-    out = _new("FunctionDef", node, label=node.name)
-    for dec in node.decorator_list:
-        out.add(_new("Decorator", dec)).add(_convert(dec))
-    params = out.add(_new("Params", node.args))
+def _wrap(kind: str, node: ast.AST) -> AstNode:
+    return AstNode(kind, "", [_convert(node)], _span_of(node))
+
+
+def _convert_def(node) -> AstNode:
     args = node.args
-    for a in getattr(args, "posonlyargs", []) + args.args:
-        params.add(_new("Param", a, label=a.arg))
+    params = [AstNode("Param", a.arg, span=_span_of(a))
+              for a in args.posonlyargs + args.args]
     if args.vararg:
-        params.add(_new("Param", args.vararg, label="*" + args.vararg.arg))
-    for a in args.kwonlyargs:
-        params.add(_new("Param", a, label=a.arg))
+        params.append(AstNode("Param", "*" + args.vararg.arg, span=_span_of(args.vararg)))
+    params += [AstNode("Param", a.arg, span=_span_of(a)) for a in args.kwonlyargs]
     if args.kwarg:
-        params.add(_new("Param", args.kwarg, label="**" + args.kwarg.arg))
-    for default in list(args.defaults) + [d for d in args.kw_defaults if d]:
-        params.add(_new("Default", default)).add(_convert(default))
-    _block("body", node.body, out)
-    return out
+        params.append(AstNode("Param", "**" + args.kwarg.arg, span=_span_of(args.kwarg)))
+    params += [_wrap("Default", default)
+               for default in args.defaults + [d for d in args.kw_defaults if d]]
+    children = [_wrap("Decorator", dec) for dec in node.decorator_list]
+    children.append(AstNode("Params", "", params, _span_of(args)))
+    children.append(AstNode("Block", "body", [_convert(stmt) for stmt in node.body]))
+    return AstNode("FunctionDef", node.name, children, _span_of(node))
 
 
-def _convert_classdef(node: ast.ClassDef) -> AstNode:
-    out = _new("ClassDef", node, label=node.name)
-    for base in list(node.bases) + list(node.keywords):
-        out.add(_convert(base))
-    _block("body", node.body, out)
-    return out
+def _convert_call(node: ast.Call) -> AstNode:
+    children = [_convert(node.func)]
+    for arg in node.args:
+        children.append(_convert(arg))
+    for kw in node.keywords:
+        children.append(AstNode("Keyword", kw.arg or "**", [_convert(kw.value)],
+                                _span_of(kw.value)))
+    return AstNode("Call", "", children, _span_of(node))
 
 
-def _convert_assign(node: ast.Assign) -> AstNode:
-    out = _new("Assign", node)
-    for target in node.targets:
-        out.add(_convert(target))
-    out.add(_convert(node.value))
-    return out
+def _convert_dict(node: ast.Dict) -> AstNode:
+    children = []
+    for key, value in zip(node.keys, node.values):
+        children.append(AstNode("DoubleStar", "**", span=_span_of(value))
+                        if key is None else _convert(key))
+        children.append(_convert(value))
+    return AstNode("Dict", "", children, _span_of(node))
 
 
-def _convert_augassign(node: ast.AugAssign) -> AstNode:
-    out = _new("AugAssign", node, label=_BINOP_SYMBOLS[type(node.op)] + "=")
-    out.add(_convert(node.target))
-    out.add(_convert(node.value))
-    return out
+def _convert_comprehension(comp: ast.comprehension) -> AstNode:
+    children = [_convert(comp.target), _convert(comp.iter)]
+    children += [_wrap("CompIf", test) for test in comp.ifs]
+    return AstNode("CompFor", "", children, _span_of(comp.iter))
 
 
 def _convert_annassign(node: ast.AnnAssign) -> AstNode:
-    out = _new("AnnAssign", node)
-    out.add(_convert(node.target))
-    out.add(_new("Annotation", node.annotation)).add(_convert(node.annotation))
+    children = [_convert(node.target), _wrap("Annotation", node.annotation)]
     if node.value is not None:
-        out.add(_convert(node.value))
-    return out
+        children.append(_convert(node.value))
+    return AstNode("AnnAssign", "", children, _span_of(node))
 
 
-def _convert_name(node: ast.Name) -> AstNode:
-    return _new("Name", node, label=node.id)
+def _convert_withitem(item: ast.withitem) -> AstNode:
+    children = [_convert(item.context_expr)]
+    if item.optional_vars is not None:
+        children.append(_convert(item.optional_vars))
+    return AstNode("WithItem", "", children, _span_of(item.context_expr))
+
+
+def _convert_case(case: ast.match_case) -> AstNode:
+    body = AstNode("Block", "body", [_convert(stmt) for stmt in case.body])
+    return AstNode("Case", _unparse(case.pattern), [body], _span_of(case.pattern))
+
+
+def _convert_import(node: ast.Import | ast.ImportFrom) -> AstNode:
+    # Aliases take the statement's span.
+    span = _span_of(node)
+    aliases = []
+    for alias in node.names:
+        aliases.append(AstNode("ImportAlias", alias.name, span=span))
+        if alias.asname:
+            aliases[-1].children.append(AstNode("As", alias.asname, span=span))
+    label = ""
+    if isinstance(node, ast.ImportFrom):
+        label = "." * node.level + (node.module or "")
+    return AstNode(type(node).__name__, label, aliases, span)
 
 
 def _convert_constant(node: ast.Constant) -> AstNode:
     value = node.value
-    if value is True or value is False or value is None or value is Ellipsis:
-        return _new("Constant", node, label=repr(value))
-    return _new("Literal", node, label=repr(value))
+    named = value is True or value is False or value is None or value is Ellipsis
+    return AstNode("Constant" if named else "Literal", repr(value), span=_span_of(node))
 
 
-def _convert_call(node: ast.Call) -> AstNode:
-    out = _new("Call", node)
-    out.add(_convert(node.func))
-    for arg in node.args:
-        out.add(_convert(arg))
-    for kw in node.keywords:
-        kw_node = out.add(_new("Keyword", kw.value, label=kw.arg or "**"))
-        kw_node.add(_convert(kw.value))
-    return out
-
-
-def _convert_attribute(node: ast.Attribute) -> AstNode:
-    out = _new("Attribute", node, label=node.attr)
-    out.add(_convert(node.value))
-    return out
-
-
-def _convert_binop(node: ast.BinOp) -> AstNode:
-    out = _new("BinOp", node, label=_BINOP_SYMBOLS[type(node.op)])
-    out.add(_convert(node.left))
-    out.add(_convert(node.right))
-    return out
-
-
-def _convert_unaryop(node: ast.UnaryOp) -> AstNode:
-    out = _new("UnaryOp", node, label=_UNARYOP_SYMBOLS[type(node.op)])
-    out.add(_convert(node.operand))
-    return out
-
-
-def _convert_boolop(node: ast.BoolOp) -> AstNode:
-    out = _new("BoolOp", node, label="and" if isinstance(node.op, ast.And) else "or")
-    for value in node.values:
-        out.add(_convert(value))
-    return out
-
-
-def _convert_compare(node: ast.Compare) -> AstNode:
-    label = " ".join(_CMPOP_SYMBOLS[type(op)] for op in node.ops)
-    out = _new("Compare", node, label=label)
-    out.add(_convert(node.left))
-    for comparator in node.comparators:
-        out.add(_convert(comparator))
-    return out
-
-
-def _convert_subscript(node: ast.Subscript) -> AstNode:
-    out = _new("Subscript", node)
-    out.add(_convert(node.value))
-    out.add(_convert(node.slice))
-    return out
-
-
-def _convert_slice(node: ast.Slice) -> AstNode:
-    out = _new("Slice", node)
-    for part in (node.lower, node.upper, node.step):
-        if part is not None:
-            out.add(_convert(part))
-    return out
-
-
-def _convert_container(kind: str):
-    def convert(node):
-        out = _new(kind, node)
-        for elt in node.elts:
-            out.add(_convert(elt))
-        return out
-    return convert
-
-
-def _convert_dict(node: ast.Dict) -> AstNode:
-    out = _new("Dict", node)
-    for key, value in zip(node.keys, node.values):
-        if key is None:
-            out.add(_new("DoubleStar", value, label="**"))
-        else:
-            out.add(_convert(key))
-        out.add(_convert(value))
-    return out
-
-
-def _convert_comprehension(kind: str, parts):
-    def convert(node):
-        out = _new(kind, node)
-        for name in parts:
-            out.add(_convert(getattr(node, name)))
-        for comp in node.generators:
-            comp_node = out.add(_new("CompFor", comp.iter))
-            comp_node.add(_convert(comp.target))
-            comp_node.add(_convert(comp.iter))
-            for test in comp.ifs:
-                comp_node.add(_new("CompIf", test)).add(_convert(test))
-        return out
-    return convert
-
-
-def _convert_joinedstr(node: ast.JoinedStr) -> AstNode:
-    out = _new("FString", node)
-    for value in node.values:
-        out.add(_convert(value))
-    return out
-
-
-def _convert_formattedvalue(node: ast.FormattedValue) -> AstNode:
-    out = _new("FormatValue", node)
-    out.add(_convert(node.value))
-    return out
-
-
-def _convert_lambda(node: ast.Lambda) -> AstNode:
-    # Parsed but opaque downstream: the body is kept for tree diffing only.
-    out = _new("Lambda", node)
-    out.add(_convert(node.body))
-    return out
-
-
-def _convert_ifexp(node: ast.IfExp) -> AstNode:
-    out = _new("IfExp", node)
-    out.add(_convert(node.body))
-    out.add(_convert(node.test))
-    out.add(_convert(node.orelse))
-    return out
-
-
-def _convert_if(node: ast.If) -> AstNode:
-    out = _new("If", node)
-    out.add(_convert(node.test))
-    _block("then", node.body, out)
-    _block("else", node.orelse, out)
-    return out
-
-
-def _convert_for(node) -> AstNode:
-    out = _new("For", node)
-    out.add(_convert(node.target))
-    out.add(_convert(node.iter))
-    _block("body", node.body, out)
-    _block("else", node.orelse, out)
-    return out
-
-
-def _convert_while(node: ast.While) -> AstNode:
-    out = _new("While", node)
-    out.add(_convert(node.test))
-    _block("body", node.body, out)
-    _block("else", node.orelse, out)
-    return out
-
-
-def _convert_with(node) -> AstNode:
-    out = _new("With", node)
-    for item in node.items:
-        item_node = out.add(_new("WithItem", item.context_expr))
-        item_node.add(_convert(item.context_expr))
-        if item.optional_vars is not None:
-            item_node.add(_convert(item.optional_vars))
-    _block("body", node.body, out)
-    return out
+def _unparse(node: ast.AST) -> str:
+    try:
+        return ast.unparse(node)
+    except Exception:
+        return "?"
 
 
 def _handler_label(handler: ast.ExceptHandler) -> str:
     if handler.type is None:
         return "except"
-    names = []
-    for part in ([handler.type] if not isinstance(handler.type, ast.Tuple)
-                 else handler.type.elts):
-        try:
-            names.append(ast.unparse(part))
-        except Exception:
-            names.append("?")
-    return "except:" + ",".join(names)
+    parts = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return "except:" + ",".join(_unparse(part) for part in parts)
 
 
-def _convert_try(node: ast.Try) -> AstNode:
-    out = _new("Try", node)
-    _block("body", node.body, out)
-    for handler in node.handlers:
-        h = out.add(_new("Except", handler, label=_handler_label(handler)))
-        _block("body", handler.body, h)
-    _block("else", node.orelse, out)
-    _block("finally", node.finalbody, out)
-    return out
+def _names(node) -> str:
+    return ",".join(node.names)
 
 
-def _convert_match(node) -> AstNode:
-    out = _new("Match", node)
-    out.add(_convert(node.subject))
-    for case in node.cases:
-        try:
-            label = ast.unparse(case.pattern)
-        except Exception:
-            label = "?"
-        case_node = out.add(_new("Case", case.pattern, label=label))
-        _block("body", case.body, case_node)
-    return out
+def _binop(node) -> str:
+    return _BINOP_SYMBOLS[type(node.op)]
 
 
-def _convert_import(node: ast.Import) -> AstNode:
-    out = _new("Import", node)
-    for alias in node.names:
-        a = out.add(_new("ImportAlias", node, label=alias.name))
-        if alias.asname:
-            a.add(_new("As", node, label=alias.asname))
-    return out
+_BODY = ("body", "body")
+_ELSE = ("else", "orelse")
 
-
-def _convert_importfrom(node: ast.ImportFrom) -> AstNode:
-    out = _new("ImportFrom", node, label="." * node.level + (node.module or ""))
-    for alias in node.names:
-        a = out.add(_new("ImportAlias", node, label=alias.name))
-        if alias.asname:
-            a.add(_new("As", node, label=alias.asname))
-    return out
-
-
-def _convert_simple(kind: str, fields: tuple[str, ...] = ()):
-    def convert(node):
-        out = _new(kind, node)
-        for name in fields:
-            value = getattr(node, name, None)
-            if value is None:
-                continue
-            if isinstance(value, list):
-                for item in value:
-                    out.add(_convert(item))
-            else:
-                out.add(_convert(value))
-        return out
-    return convert
-
-
-def _convert_names_stmt(kind: str):
-    def convert(node):
-        return _new(kind, node, label=",".join(node.names))
-    return convert
-
-
-_HANDLERS = {
-    "Module": _convert_module,
-    "FunctionDef": _convert_functiondef,
-    "AsyncFunctionDef": _convert_functiondef,
-    "ClassDef": _convert_classdef,
-    "Assign": _convert_assign,
-    "AugAssign": _convert_augassign,
+# ast class name -> (kind, label function or None, child fields), or the
+# function that converts it. A child field is an attribute (one node, or each
+# node of a list; None is skipped) or a (block label, statement list) pair,
+# which becomes a Block node when the list is not empty.
+_TABLE = {
+    "Module": ("Module", None, ("body",)),
+    "FunctionDef": _convert_def,
+    "AsyncFunctionDef": _convert_def,
+    "ClassDef": ("ClassDef", lambda n: n.name, ("bases", "keywords", _BODY)),
+    "Assign": ("Assign", None, ("targets", "value")),
+    "AugAssign": ("AugAssign", lambda n: _binop(n) + "=", ("target", "value")),
     "AnnAssign": _convert_annassign,
-    "Name": _convert_name,
+    "Name": ("Name", lambda n: n.id, ()),
     "Constant": _convert_constant,
     "Call": _convert_call,
-    "Attribute": _convert_attribute,
-    "BinOp": _convert_binop,
-    "UnaryOp": _convert_unaryop,
-    "BoolOp": _convert_boolop,
-    "Compare": _convert_compare,
-    "Subscript": _convert_subscript,
-    "Slice": _convert_slice,
-    "List": _convert_container("List"),
-    "Tuple": _convert_container("Tuple"),
-    "Set": _convert_container("Set"),
+    "Attribute": ("Attribute", lambda n: n.attr, ("value",)),
+    "BinOp": ("BinOp", _binop, ("left", "right")),
+    "UnaryOp": ("UnaryOp", lambda n: _UNARYOP_SYMBOLS[type(n.op)], ("operand",)),
+    "BoolOp": ("BoolOp", lambda n: "and" if isinstance(n.op, ast.And) else "or",
+               ("values",)),
+    "Compare": ("Compare", lambda n: " ".join(_CMPOP_SYMBOLS[type(op)] for op in n.ops),
+                ("left", "comparators")),
+    "Subscript": ("Subscript", None, ("value", "slice")),
+    "Slice": ("Slice", None, ("lower", "upper", "step")),
+    "List": ("List", None, ("elts",)),
+    "Tuple": ("Tuple", None, ("elts",)),
+    "Set": ("Set", None, ("elts",)),
     "Dict": _convert_dict,
-    "ListComp": _convert_comprehension("ListComp", ("elt",)),
-    "SetComp": _convert_comprehension("SetComp", ("elt",)),
-    "GeneratorExp": _convert_comprehension("GenExp", ("elt",)),
-    "DictComp": _convert_comprehension("DictComp", ("key", "value")),
-    "JoinedStr": _convert_joinedstr,
-    "FormattedValue": _convert_formattedvalue,
-    "Lambda": _convert_lambda,
-    "IfExp": _convert_ifexp,
-    "If": _convert_if,
-    "For": _convert_for,
-    "AsyncFor": _convert_for,
-    "While": _convert_while,
-    "With": _convert_with,
-    "AsyncWith": _convert_with,
-    "Try": _convert_try,
-    "TryStar": _convert_try,
-    "Match": _convert_match,
+    "ListComp": ("ListComp", None, ("elt", "generators")),
+    "SetComp": ("SetComp", None, ("elt", "generators")),
+    "GeneratorExp": ("GenExp", None, ("elt", "generators")),
+    "DictComp": ("DictComp", None, ("key", "value", "generators")),
+    "comprehension": _convert_comprehension,
+    "JoinedStr": ("FString", None, ("values",)),
+    "FormattedValue": ("FormatValue", None, ("value",)),
+    # Parsed but opaque downstream: the body is kept for tree diffing only.
+    "Lambda": ("Lambda", None, ("body",)),
+    "IfExp": ("IfExp", None, ("body", "test", "orelse")),
+    "If": ("If", None, ("test", ("then", "body"), _ELSE)),
+    "For": ("For", None, ("target", "iter", _BODY, _ELSE)),
+    "AsyncFor": ("For", None, ("target", "iter", _BODY, _ELSE)),
+    "While": ("While", None, ("test", _BODY, _ELSE)),
+    "With": ("With", None, ("items", _BODY)),
+    "AsyncWith": ("With", None, ("items", _BODY)),
+    "withitem": _convert_withitem,
+    "Try": ("Try", None, (_BODY, "handlers", _ELSE, ("finally", "finalbody"))),
+    "TryStar": ("Try", None, (_BODY, "handlers", _ELSE, ("finally", "finalbody"))),
+    "ExceptHandler": ("Except", _handler_label, (_BODY,)),
+    "Match": ("Match", None, ("subject", "cases")),
+    "match_case": _convert_case,
     "Import": _convert_import,
-    "ImportFrom": _convert_importfrom,
-    "Expr": _convert_simple("Expr", ("value",)),
-    "Return": _convert_simple("Return", ("value",)),
-    "Raise": _convert_simple("Raise", ("exc", "cause")),
-    "Assert": _convert_simple("Assert", ("test", "msg")),
-    "Delete": _convert_simple("Del", ("targets",)),
-    "Starred": _convert_simple("Starred", ("value",)),
-    "Await": _convert_simple("Await", ("value",)),
-    "Yield": _convert_simple("Yield", ("value",)),
-    "YieldFrom": _convert_simple("YieldFrom", ("value",)),
-    "NamedExpr": _convert_simple("NamedExpr", ("target", "value")),
-    "Pass": _convert_simple("Pass"),
-    "Break": _convert_simple("Break"),
-    "Continue": _convert_simple("Continue"),
-    "Global": _convert_names_stmt("Global"),
-    "Nonlocal": _convert_names_stmt("Nonlocal"),
+    "ImportFrom": _convert_import,
+    "Expr": ("Expr", None, ("value",)),
+    "Return": ("Return", None, ("value",)),
+    "Raise": ("Raise", None, ("exc", "cause")),
+    "Assert": ("Assert", None, ("test", "msg")),
+    "Delete": ("Del", None, ("targets",)),
+    "Starred": ("Starred", None, ("value",)),
+    "Await": ("Await", None, ("value",)),
+    "Yield": ("Yield", None, ("value",)),
+    "YieldFrom": ("YieldFrom", None, ("value",)),
+    "NamedExpr": ("NamedExpr", None, ("target", "value")),
+    "Pass": ("Pass", None, ()),
+    "Break": ("Break", None, ()),
+    "Continue": ("Continue", None, ()),
+    "Global": ("Global", _names, ()),
+    "Nonlocal": ("Nonlocal", _names, ()),
 }
 
 

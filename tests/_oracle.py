@@ -8,16 +8,21 @@ surface.
 
 The second half is the function frontend as it was before units were built
 lazily from the raw ``ast``: it walks the whole normalized tree of a file
-(``parse_source``) and copies every def eagerly.
+(``parse_source``) and copies every def eagerly. The third is the ``ast`` to
+normalized-tree converter as it was before it became one table: a function
+per syntax kind.
 """
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 PatternRecord, TNode, canonical_key)
-from changeminer.source import AstNode, ImportTable, Span, _finish
+from changeminer.source import (_BINOP_SYMBOLS, _CMPOP_SYMBOLS,
+                                _UNARYOP_SYMBOLS, AstNode, ImportTable, Span,
+                                _finish, parse_module)
 
 
 def _template_adjacency(t: PatternGraph) -> dict[int, set[int]]:
@@ -391,3 +396,423 @@ def _asname(alias_node: AstNode) -> str | None:
         if child.kind == "As":
             return child.label
     return None
+
+
+# ---------------------------------------------------------------------------
+# Per-kind converter
+# ---------------------------------------------------------------------------
+
+
+def parse_source(text: str | bytes) -> AstNode:
+    """``changeminer.source.parse_source`` through the per-kind converter."""
+    root = _convert(parse_module(text))
+    _finish(root, (1, 0, 1, 0))
+    return root
+
+
+def _span_of(node: ast.AST) -> Span | None:
+    lineno = getattr(node, "lineno", None)
+    if lineno is None:
+        return None
+    end_lineno = getattr(node, "end_lineno", None) or lineno
+    col = getattr(node, "col_offset", 0)
+    end_col = getattr(node, "end_col_offset", None)
+    if end_col is None:
+        end_col = col
+    return (lineno, col, end_lineno, end_col)
+
+
+def _new(kind: str, node: ast.AST | None = None, label: str = "") -> AstNode:
+    span = _span_of(node) if node is not None else None
+    return AstNode(kind, label, span=span or (0, 0, 0, 0))
+
+
+def _block(label: str, stmts, parent: AstNode) -> None:
+    if not stmts:
+        return
+    block = parent.add(_new("Block", label=label))
+    for stmt in stmts:
+        block.add(_convert(stmt))
+
+
+def _convert(node: ast.AST) -> AstNode:
+    handler = _HANDLERS.get(type(node).__name__, _convert_generic)
+    return handler(node)
+
+
+def _convert_generic(node: ast.AST) -> AstNode:
+    # Fallback for syntax the explicit handlers do not cover; keeps parsing
+    # total over future/rare grammar nodes.
+    out = _new(type(node).__name__, node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.expr_context, ast.operator, ast.boolop,
+                              ast.unaryop, ast.cmpop)):
+            continue
+        out.add(_convert(child))
+    return out
+
+
+def _convert_module(node: ast.Module) -> AstNode:
+    out = _new("Module", node)
+    for stmt in node.body:
+        out.add(_convert(stmt))
+    return out
+
+
+def _convert_functiondef(node) -> AstNode:
+    out = _new("FunctionDef", node, label=node.name)
+    for dec in node.decorator_list:
+        out.add(_new("Decorator", dec)).add(_convert(dec))
+    params = out.add(_new("Params", node.args))
+    args = node.args
+    for a in getattr(args, "posonlyargs", []) + args.args:
+        params.add(_new("Param", a, label=a.arg))
+    if args.vararg:
+        params.add(_new("Param", args.vararg, label="*" + args.vararg.arg))
+    for a in args.kwonlyargs:
+        params.add(_new("Param", a, label=a.arg))
+    if args.kwarg:
+        params.add(_new("Param", args.kwarg, label="**" + args.kwarg.arg))
+    for default in list(args.defaults) + [d for d in args.kw_defaults if d]:
+        params.add(_new("Default", default)).add(_convert(default))
+    _block("body", node.body, out)
+    return out
+
+
+def _convert_classdef(node: ast.ClassDef) -> AstNode:
+    out = _new("ClassDef", node, label=node.name)
+    for base in list(node.bases) + list(node.keywords):
+        out.add(_convert(base))
+    _block("body", node.body, out)
+    return out
+
+
+def _convert_assign(node: ast.Assign) -> AstNode:
+    out = _new("Assign", node)
+    for target in node.targets:
+        out.add(_convert(target))
+    out.add(_convert(node.value))
+    return out
+
+
+def _convert_augassign(node: ast.AugAssign) -> AstNode:
+    out = _new("AugAssign", node, label=_BINOP_SYMBOLS[type(node.op)] + "=")
+    out.add(_convert(node.target))
+    out.add(_convert(node.value))
+    return out
+
+
+def _convert_annassign(node: ast.AnnAssign) -> AstNode:
+    out = _new("AnnAssign", node)
+    out.add(_convert(node.target))
+    out.add(_new("Annotation", node.annotation)).add(_convert(node.annotation))
+    if node.value is not None:
+        out.add(_convert(node.value))
+    return out
+
+
+def _convert_name(node: ast.Name) -> AstNode:
+    return _new("Name", node, label=node.id)
+
+
+def _convert_constant(node: ast.Constant) -> AstNode:
+    value = node.value
+    if value is True or value is False or value is None or value is Ellipsis:
+        return _new("Constant", node, label=repr(value))
+    return _new("Literal", node, label=repr(value))
+
+
+def _convert_call(node: ast.Call) -> AstNode:
+    out = _new("Call", node)
+    out.add(_convert(node.func))
+    for arg in node.args:
+        out.add(_convert(arg))
+    for kw in node.keywords:
+        kw_node = out.add(_new("Keyword", kw.value, label=kw.arg or "**"))
+        kw_node.add(_convert(kw.value))
+    return out
+
+
+def _convert_attribute(node: ast.Attribute) -> AstNode:
+    out = _new("Attribute", node, label=node.attr)
+    out.add(_convert(node.value))
+    return out
+
+
+def _convert_binop(node: ast.BinOp) -> AstNode:
+    out = _new("BinOp", node, label=_BINOP_SYMBOLS[type(node.op)])
+    out.add(_convert(node.left))
+    out.add(_convert(node.right))
+    return out
+
+
+def _convert_unaryop(node: ast.UnaryOp) -> AstNode:
+    out = _new("UnaryOp", node, label=_UNARYOP_SYMBOLS[type(node.op)])
+    out.add(_convert(node.operand))
+    return out
+
+
+def _convert_boolop(node: ast.BoolOp) -> AstNode:
+    out = _new("BoolOp", node, label="and" if isinstance(node.op, ast.And) else "or")
+    for value in node.values:
+        out.add(_convert(value))
+    return out
+
+
+def _convert_compare(node: ast.Compare) -> AstNode:
+    label = " ".join(_CMPOP_SYMBOLS[type(op)] for op in node.ops)
+    out = _new("Compare", node, label=label)
+    out.add(_convert(node.left))
+    for comparator in node.comparators:
+        out.add(_convert(comparator))
+    return out
+
+
+def _convert_subscript(node: ast.Subscript) -> AstNode:
+    out = _new("Subscript", node)
+    out.add(_convert(node.value))
+    out.add(_convert(node.slice))
+    return out
+
+
+def _convert_slice(node: ast.Slice) -> AstNode:
+    out = _new("Slice", node)
+    for part in (node.lower, node.upper, node.step):
+        if part is not None:
+            out.add(_convert(part))
+    return out
+
+
+def _convert_container(kind: str):
+    def convert(node):
+        out = _new(kind, node)
+        for elt in node.elts:
+            out.add(_convert(elt))
+        return out
+    return convert
+
+
+def _convert_dict(node: ast.Dict) -> AstNode:
+    out = _new("Dict", node)
+    for key, value in zip(node.keys, node.values):
+        if key is None:
+            out.add(_new("DoubleStar", value, label="**"))
+        else:
+            out.add(_convert(key))
+        out.add(_convert(value))
+    return out
+
+
+def _convert_comprehension(kind: str, parts):
+    def convert(node):
+        out = _new(kind, node)
+        for name in parts:
+            out.add(_convert(getattr(node, name)))
+        for comp in node.generators:
+            comp_node = out.add(_new("CompFor", comp.iter))
+            comp_node.add(_convert(comp.target))
+            comp_node.add(_convert(comp.iter))
+            for test in comp.ifs:
+                comp_node.add(_new("CompIf", test)).add(_convert(test))
+        return out
+    return convert
+
+
+def _convert_joinedstr(node: ast.JoinedStr) -> AstNode:
+    out = _new("FString", node)
+    for value in node.values:
+        out.add(_convert(value))
+    return out
+
+
+def _convert_formattedvalue(node: ast.FormattedValue) -> AstNode:
+    out = _new("FormatValue", node)
+    out.add(_convert(node.value))
+    return out
+
+
+def _convert_lambda(node: ast.Lambda) -> AstNode:
+    # Parsed but opaque downstream: the body is kept for tree diffing only.
+    out = _new("Lambda", node)
+    out.add(_convert(node.body))
+    return out
+
+
+def _convert_ifexp(node: ast.IfExp) -> AstNode:
+    out = _new("IfExp", node)
+    out.add(_convert(node.body))
+    out.add(_convert(node.test))
+    out.add(_convert(node.orelse))
+    return out
+
+
+def _convert_if(node: ast.If) -> AstNode:
+    out = _new("If", node)
+    out.add(_convert(node.test))
+    _block("then", node.body, out)
+    _block("else", node.orelse, out)
+    return out
+
+
+def _convert_for(node) -> AstNode:
+    out = _new("For", node)
+    out.add(_convert(node.target))
+    out.add(_convert(node.iter))
+    _block("body", node.body, out)
+    _block("else", node.orelse, out)
+    return out
+
+
+def _convert_while(node: ast.While) -> AstNode:
+    out = _new("While", node)
+    out.add(_convert(node.test))
+    _block("body", node.body, out)
+    _block("else", node.orelse, out)
+    return out
+
+
+def _convert_with(node) -> AstNode:
+    out = _new("With", node)
+    for item in node.items:
+        item_node = out.add(_new("WithItem", item.context_expr))
+        item_node.add(_convert(item.context_expr))
+        if item.optional_vars is not None:
+            item_node.add(_convert(item.optional_vars))
+    _block("body", node.body, out)
+    return out
+
+
+def _handler_label(handler: ast.ExceptHandler) -> str:
+    if handler.type is None:
+        return "except"
+    names = []
+    for part in ([handler.type] if not isinstance(handler.type, ast.Tuple)
+                 else handler.type.elts):
+        try:
+            names.append(ast.unparse(part))
+        except Exception:
+            names.append("?")
+    return "except:" + ",".join(names)
+
+
+def _convert_try(node: ast.Try) -> AstNode:
+    out = _new("Try", node)
+    _block("body", node.body, out)
+    for handler in node.handlers:
+        h = out.add(_new("Except", handler, label=_handler_label(handler)))
+        _block("body", handler.body, h)
+    _block("else", node.orelse, out)
+    _block("finally", node.finalbody, out)
+    return out
+
+
+def _convert_match(node) -> AstNode:
+    out = _new("Match", node)
+    out.add(_convert(node.subject))
+    for case in node.cases:
+        try:
+            label = ast.unparse(case.pattern)
+        except Exception:
+            label = "?"
+        case_node = out.add(_new("Case", case.pattern, label=label))
+        _block("body", case.body, case_node)
+    return out
+
+
+def _convert_import(node: ast.Import) -> AstNode:
+    out = _new("Import", node)
+    for alias in node.names:
+        a = out.add(_new("ImportAlias", node, label=alias.name))
+        if alias.asname:
+            a.add(_new("As", node, label=alias.asname))
+    return out
+
+
+def _convert_importfrom(node: ast.ImportFrom) -> AstNode:
+    out = _new("ImportFrom", node, label="." * node.level + (node.module or ""))
+    for alias in node.names:
+        a = out.add(_new("ImportAlias", node, label=alias.name))
+        if alias.asname:
+            a.add(_new("As", node, label=alias.asname))
+    return out
+
+
+def _convert_simple(kind: str, fields: tuple[str, ...] = ()):
+    def convert(node):
+        out = _new(kind, node)
+        for name in fields:
+            value = getattr(node, name, None)
+            if value is None:
+                continue
+            if isinstance(value, list):
+                for item in value:
+                    out.add(_convert(item))
+            else:
+                out.add(_convert(value))
+        return out
+    return convert
+
+
+def _convert_names_stmt(kind: str):
+    def convert(node):
+        return _new(kind, node, label=",".join(node.names))
+    return convert
+
+
+_HANDLERS = {
+    "Module": _convert_module,
+    "FunctionDef": _convert_functiondef,
+    "AsyncFunctionDef": _convert_functiondef,
+    "ClassDef": _convert_classdef,
+    "Assign": _convert_assign,
+    "AugAssign": _convert_augassign,
+    "AnnAssign": _convert_annassign,
+    "Name": _convert_name,
+    "Constant": _convert_constant,
+    "Call": _convert_call,
+    "Attribute": _convert_attribute,
+    "BinOp": _convert_binop,
+    "UnaryOp": _convert_unaryop,
+    "BoolOp": _convert_boolop,
+    "Compare": _convert_compare,
+    "Subscript": _convert_subscript,
+    "Slice": _convert_slice,
+    "List": _convert_container("List"),
+    "Tuple": _convert_container("Tuple"),
+    "Set": _convert_container("Set"),
+    "Dict": _convert_dict,
+    "ListComp": _convert_comprehension("ListComp", ("elt",)),
+    "SetComp": _convert_comprehension("SetComp", ("elt",)),
+    "GeneratorExp": _convert_comprehension("GenExp", ("elt",)),
+    "DictComp": _convert_comprehension("DictComp", ("key", "value")),
+    "JoinedStr": _convert_joinedstr,
+    "FormattedValue": _convert_formattedvalue,
+    "Lambda": _convert_lambda,
+    "IfExp": _convert_ifexp,
+    "If": _convert_if,
+    "For": _convert_for,
+    "AsyncFor": _convert_for,
+    "While": _convert_while,
+    "With": _convert_with,
+    "AsyncWith": _convert_with,
+    "Try": _convert_try,
+    "TryStar": _convert_try,
+    "Match": _convert_match,
+    "Import": _convert_import,
+    "ImportFrom": _convert_importfrom,
+    "Expr": _convert_simple("Expr", ("value",)),
+    "Return": _convert_simple("Return", ("value",)),
+    "Raise": _convert_simple("Raise", ("exc", "cause")),
+    "Assert": _convert_simple("Assert", ("test", "msg")),
+    "Delete": _convert_simple("Del", ("targets",)),
+    "Starred": _convert_simple("Starred", ("value",)),
+    "Await": _convert_simple("Await", ("value",)),
+    "Yield": _convert_simple("Yield", ("value",)),
+    "YieldFrom": _convert_simple("YieldFrom", ("value",)),
+    "NamedExpr": _convert_simple("NamedExpr", ("target", "value")),
+    "Pass": _convert_simple("Pass"),
+    "Break": _convert_simple("Break"),
+    "Continue": _convert_simple("Continue"),
+    "Global": _convert_names_stmt("Global"),
+    "Nonlocal": _convert_names_stmt("Nonlocal"),
+}

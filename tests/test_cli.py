@@ -245,6 +245,48 @@ def test_rerunning_patterns_removes_stale_pattern_dirs(tmp_path, twin_repo,
     assert "patterns: 1" in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize("fmt, suffix", [("html", ".html"), ("dot", ".dot"),
+                                         ("text", ".json")])
+def test_rerunning_report_removes_stale_pages(tmp_path, twin_repo, capsys,
+                                              fmt, suffix):
+    listing = write_repos(tmp_path, [f"rc {twin_repo}"])
+    main(["mine", "--repos", listing, "--out", str(tmp_path / "store")])
+    args = ["patterns", "--store", str(tmp_path / "store"),
+            "--min-freq", "2", "--min-size", "2"]
+    many, few = tmp_path / "many", tmp_path / "few"
+    assert main(args + ["--out", str(many), "--keep-subpatterns"]) == 0
+    assert main(args + ["--out", str(few)]) == 0
+    pages = tmp_path / "pages"
+    report = ["report", "--format", fmt, "--out", str(pages), "--patterns"]
+    assert main(report + [str(many)]) == 0
+    assert len(list(pages.glob("pattern-*" + suffix))) == len(load_pattern_dir(many)) > 1
+    (pages / "notes.txt").write_text("kept\n")
+    (pages / "pattern-0009.other").write_text("kept\n")
+    assert main(report + [str(few)]) == 0
+    capsys.readouterr()
+
+    names = sorted(entry["meta"]["name"] + suffix for entry in load_pattern_dir(few))
+    assert len(names) == 1
+    assert sorted(p.name for p in pages.glob("pattern-*" + suffix)) == names
+    assert (pages / "notes.txt").exists() and (pages / "pattern-0009.other").exists()
+
+
+def test_config_boolean_typo_exits_one_naming_the_key(tmp_path, small_repo, capsys):
+    config = tmp_path / "mine.cfg"
+    for text, value in [("On", True), ("YES", True), ("1", True),
+                        ("Off", False), ("no", False), ("0", False)]:
+        config.write_text(f"skip_merges = {text}\n")
+        assert read_config_file(config) == {"skip_merges": value}
+    config.write_text("skip_merges = flase\n")
+    with pytest.raises(ValueError, match="skip_merges"):
+        read_config_file(config)
+    listing = write_repos(tmp_path, [f"r1 {small_repo}"])
+    assert main(["mine", "--repos", listing, "--out", str(tmp_path / "store"),
+                 "--config", str(config)]) == 1
+    assert "skip_merges" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
 def test_mine_config_file_reaches_the_commit_filter(tmp_path, twin_repo, capsys):
     config = tmp_path / "mine.cfg"
     config.write_text("max_files_per_commit = 1\nskip_merges = false\n")

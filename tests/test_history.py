@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
@@ -96,6 +97,24 @@ def test_added_and_nonpython_files_excluded(tmp_path):
     commits = list_commits(str(repo))
     pairs = pair_modified_files(commits[1], CommitFilter())
     assert [p[2] for p in pairs] == ["a.py"]
+
+
+def test_paths_that_git_quotes_are_kept(tmp_path):
+    # Without -z, git prints a non-ASCII path C-quoted ("pkg/caf\303\251.py").
+    repo = init_repo(tmp_path / "repo")
+    (repo / "pkg").mkdir()
+    latin1 = repo / os.fsdecode(b"pkg/caf\xe9.py")  # not UTF-8
+    for version in (1, 2):
+        latin1.write_text(f"def h():\n    return {version}\n")
+        commit_files(repo, {"pkg/café.py": f"def f():\n    return {version}\n",
+                            "pkg/plain.py": f"def g():\n    return {version}\n"},
+                     f"version {version}")
+    commits = list_commits(str(repo))
+    pairs = pair_modified_files(commits[1], CommitFilter())
+    assert [(p[2], p[1]) for p in pairs] == [
+        ("pkg/café.py", "def f():\n    return 2\n"),
+        ("pkg/caf\ufffd.py", "def h():\n    return 2\n"),
+        ("pkg/plain.py", "def g():\n    return 2\n")]
 
 
 def test_commit_over_file_cap_is_skipped_entirely(tmp_path):

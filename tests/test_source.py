@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import sys
 import sysconfig
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
-from changeminer.source import (build_import_table, extract_functions,
+from changeminer.source import (_TABLE, build_import_table, extract_functions,
                                 parse_module, parse_source, same_tree)
 
 import _oracle
@@ -209,7 +211,7 @@ def _matches_full_tree_frontend(source: str):
     """Units and import table of ``source``, checked against the oracle's."""
     module = parse_module(source)
     units = extract_functions(module, "m")
-    tree = parse_source(source)
+    tree = _oracle.parse_source(source)
     expected = _oracle.extract_functions(tree, "m")
     assert [u.qualified_name for u in units] == [u.qualified_name for u in expected]
     for unit, old in zip(units, expected):
@@ -323,3 +325,159 @@ def test_unit_lines_follow_the_parsers_line_breaks():
     [unit] = extract_functions(parse_module(source), "m")
     assert unit.line_range == (2, 4)
     assert unit.source_lines() == ["def f():", "    s = '\x0c\u2028'", "    return s"]
+
+
+# The table-driven converter against the per-kind one it replaced.
+
+_PLANTED = """\
+from ..a import b as c
+import os.path, sys as system
+from . import *
+
+counter: int
+total: int = 0
+
+
+@decorator
+@other.attr(1, key=2)
+def f(a, b=1, /, c=2, *args, d, e=3, **kwargs) -> None:
+    global total, counter
+    x = y = a + b * -c
+    x += 1
+    del x, args[0]
+    if not a and b or c:
+        pass
+    elif a is not None:
+        return
+    else:
+        raise ValueError("bad") from None
+    for i, j in enumerate(args):
+        if i:
+            continue
+        break
+    else:
+        pass
+    while a < b <= c != d:
+        a -= 1
+    else:
+        b = ...
+    try:
+        assert a, "message"
+    except (KeyError, IndexError) as err:
+        raise
+    except ValueError:
+        pass
+    except:
+        pass
+    else:
+        b = True
+    finally:
+        c = False
+    with open(a) as fh, lock:
+        data = fh.read()[1:2], a[::2], a[x:], a[:, 1]
+    match data:
+        case [1, *rest]:
+            pass
+        case {"k": v, **others}:
+            pass
+        case Point(x=0) | None:
+            pass
+        case _:
+            pass
+
+    def inner():
+        nonlocal a
+        yield a
+        yield
+        yield from b
+    squares = [i * i for i in range(10) if i % 2 if i]
+    evens = {i for i in args}
+    mapping = {k: v for k, v in kwargs.items()}
+    gen = (i for i in args)
+    merged = {**kwargs, "a": 1, 2: b}
+    label = f"{a!r:>{b}} and {c:.2f} text"
+    func = lambda p, q=1: p + q
+    choice = a if b else c
+    if (n := len(args)) > 1:
+        print(*args, sep="", **kwargs)
+    return {1, 2}, [a, b], (), 1.5, 2j, b"bytes", "text"
+
+
+class Point(Base, metaclass=Meta):
+    x: int = 0
+
+    def method(self):
+        return self.x
+
+
+async def g():
+    async for item in stream():
+        await item
+    async with session() as s:
+        pass
+"""
+
+if sys.version_info >= (3, 11):
+    _PLANTED += """
+try:
+    pass
+except* (OSError, ValueError) as group:
+    pass
+"""
+
+
+def _preorder(tree):
+    return [(n.kind, n.label, n.span, len(n.children)) for n in tree.preorder()]
+
+
+def _assert_same_conversion(paths) -> None:
+    assert len(paths) > 30
+    for path in paths:
+        text = path.read_bytes()
+        assert _preorder(parse_source(text)) == \
+            _preorder(_oracle.parse_source(text)), path
+
+
+def test_planted_source_reaches_every_table_entry():
+    kinds = {type(node).__name__ for node in ast.walk(parse_module(_PLANTED))}
+    missing = set(_TABLE) - kinds
+    if sys.version_info < (3, 11):
+        missing.discard("TryStar")
+    assert not missing
+    assert "keyword" in kinds and "keyword" not in _TABLE  # the fallback
+    assert _preorder(parse_source(_PLANTED)) == \
+        _preorder(_oracle.parse_source(_PLANTED))
+
+
+def test_long_method_chain_converts():
+    # Each link of a.b().b()... nests a Call and an Attribute one level deeper.
+    tree = parse_source("x = a" + ".b()" * 250 + "\n")
+    assert sum(node.kind == "Call" for node in tree.preorder()) == 250
+
+
+_STDLIB = Path(sysconfig.get_paths()["stdlib"])
+_STDLIB_SAMPLE = sorted(_STDLIB.glob("*.py"))[::10] + \
+    sorted(p for p in _STDLIB.glob("[!_]*/*.py") if "site-packages" not in p.parts)[::40]
+
+
+@pytest.mark.skipif(not _STDLIB_SAMPLE, reason="needs the standard library sources")
+def test_conversion_matches_the_per_kind_converter_on_stdlib_files():
+    _assert_same_conversion(_STDLIB_SAMPLE)
+
+
+def _installed(dist: str, package: str, step: int) -> list[Path]:
+    """Every ``step``-th file of an installed package, or [] when absent."""
+    for info in sorted(Path.home().glob(
+            f".pyenv/versions/*/lib/python3.*/site-packages/{dist}.dist-info")):
+        return sorted((info.parent / package).rglob("*.py"))[::step]
+    return []
+
+
+_PIP_SAMPLE = _installed("pip-23.2.1", "pip", 20)
+_SETUPTOOLS_SAMPLE = _installed("setuptools-65.5.0", "setuptools", 15)
+
+
+@pytest.mark.skipif(not _PIP_SAMPLE or not _SETUPTOOLS_SAMPLE,
+                    reason="needs pip 23.2.1 and setuptools 65.5.0")
+def test_conversion_matches_the_per_kind_converter_on_pip_and_setuptools():
+    _assert_same_conversion(_PIP_SAMPLE + _SETUPTOOLS_SAMPLE)
