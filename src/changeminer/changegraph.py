@@ -9,13 +9,13 @@ from .pdg import FgEdge, FgNode, Fgpdg
 
 BEFORE, AFTER = "Before", "After"
 
-# Fixed salt keeps author hashes stable across re-runs while never persisting
-# the raw address; override via hash_email(salt=...) if a run needs isolation.
-DEFAULT_EMAIL_SALT = "changeminer.v1"
+# A fixed salt keeps author hashes stable across re-runs while never
+# persisting the raw address.
+EMAIL_SALT = "changeminer.v1"
 
 
-def hash_email(email: str, salt: str = DEFAULT_EMAIL_SALT) -> str:
-    return hashlib.sha256((salt + ":" + email).encode()).hexdigest()[:16]
+def hash_email(email: str) -> str:
+    return hashlib.sha256((EMAIL_SALT + ":" + email).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -27,17 +27,6 @@ class Provenance:
     function: str
     author_email_hash: str
     commit_message: str
-
-    def to_dict(self) -> dict:
-        return {
-            "repo_id": self.repo_id,
-            "commit_hash": self.commit_hash,
-            "parent_hash": self.parent_hash,
-            "file_path": self.file_path,
-            "function": self.function,
-            "author_email_hash": self.author_email_hash,
-            "commit_message": self.commit_message,
-        }
 
 
 @dataclass

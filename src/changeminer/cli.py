@@ -111,10 +111,6 @@ def main(argv: list[str] | None = None) -> int:
     p_pat.add_argument("--min-size", type=int, default=None, dest="min_size")
     p_pat.add_argument("--min-freq", type=int, default=None, dest="min_freq")
     p_pat.add_argument("--max-size", type=int, default=None, dest="max_size")
-    p_pat.add_argument("--max-extensions-per-step", type=int, default=None,
-                       dest="max_extensions_per_step")
-    p_pat.add_argument("--per-seed-time-budget", type=float, default=None,
-                       dest="per_seed_time_budget")
     p_pat.add_argument("--cross-project-only", action="store_true",
                        default=None, dest="cross_project_only")
     p_pat.add_argument("--keep-subpatterns", action="store_true",
@@ -214,10 +210,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
             record.graph, record.instances, corpus_index,
             frozenset(modules)).value
 
-    # The wall-clock budget is left out: its hits are listed as warnings.
-    mining_config = asdict(cfg)
-    del mining_config["per_seed_time_budget"]
-    write_pattern_set(patterns, args.out, store, mining_config)
+    write_pattern_set(patterns, args.out, store, asdict(cfg))
     samples = sum(record.support for record in patterns.patterns)
     print(f"{len(patterns.patterns)} patterns, {samples} samples")
     for warning in patterns.warnings:

@@ -14,7 +14,7 @@ import re
 import subprocess
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
@@ -244,9 +244,13 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
             try:
                 graph = change_graph_for_pair(unit_b, unit_a, imports_b,
                                               imports_a, prov, counts)
-            except UnsupportedConstruct as exc:
+            except (UnsupportedConstruct, RecursionError) as exc:
+                # The tree and graph layers recurse on the syntax tree, so a
+                # deeply nested expression is beyond them like a construct.
+                reason = ("unsupported: nesting too deep"
+                          if isinstance(exc, RecursionError) else exc)
                 warnings.append(f"{commit.hash[:8]} {path}: "
-                                f"{unit_b.qualified_name}: {exc}")
+                                f"{unit_b.qualified_name}: {reason}")
                 counts["unsupported"] += 1
                 continue
             if graph is None:
@@ -327,7 +331,7 @@ def record_from_graph(graph: ChangeGraph) -> dict:
         prov.repo_id, prov.commit_hash, prov.file_path, prov.function)
     return {
         "id": record_id,
-        "provenance": prov.to_dict(),
+        "provenance": asdict(prov),
         "nodes": [
             {
                 "id": n.id, "kind": n.kind, "subkind": n.subkind,

@@ -12,16 +12,26 @@ individualization-refinement: neighbourhood refinement to stable integer
 colours, then a search that splits the remaining colour classes one node at
 a time and keeps the smallest edge list. Two templates get equal keys exactly
 when they are isomorphic, so the search merges explorations by key alone.
+
+Each seed's search is bounded by work, not by time: it stops before the
+instance bindings of the templates it has expanded would pass
+``SEED_WORK_BOUND``, and the stop is listed as a warning. The bound counts
+bindings because the cost of one expansion grows with them, so the same
+input gives the same patterns on any machine.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
 MAP = "Map"
+
+# Instance bindings one seed may expand, summed over the templates it
+# extends. It is far above what the benchmark workloads need, so it only
+# stops runaway seeds.
+SEED_WORK_BOUND = 250_000
 
 
 @dataclass
@@ -29,8 +39,6 @@ class MiningConfig:
     min_size: int = 4
     min_freq: int = 3
     max_size: int = 20
-    max_extensions_per_step: int = 64
-    per_seed_time_budget: float = 60.0
     cross_project_only: bool = False
     keep_subpatterns: bool = False
 
@@ -225,8 +233,7 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
         if support >= cfg.min_freq:
             scored.append((-support, _growth_key_string(key), candidate, members))
     scored.sort(key=lambda item: (item[0], item[1]))
-    return [(candidate, members)
-            for _, _, candidate, members in scored[:cfg.max_extensions_per_step]]
+    return [(candidate, members) for _, _, candidate, members in scored]
 
 
 def _grown_template(pattern: PatternGraph, key, members: list[Instance],
@@ -440,14 +447,9 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
         instances: list[Instance] = [(gid, (b, a)) for gid, b, a in members]
         if support_of(template, instances) < cfg.min_freq:
             continue
-        deadline = time.monotonic() + cfg.per_seed_time_budget
+        work = 0
         stack: list[tuple[PatternGraph, list[Instance]]] = [(template, instances)]
         while stack:
-            if time.monotonic() > deadline:
-                warnings.append(
-                    f"budget exceeded for seed {labels[0]} -> {labels[1]}; "
-                    "partial results kept")
-                break
             pattern, pattern_instances = stack.pop()
             key = canonical_key(pattern)
             if key in visited:
@@ -466,6 +468,12 @@ def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
                                         for gid, _ in pattern_instances}),
                 ))
             if pattern.size < cfg.max_size:
+                if work + len(pattern_instances) > SEED_WORK_BOUND:
+                    warnings.append(
+                        f"budget exceeded for seed {labels[0]} -> {labels[1]} "
+                        f"after {work} instance bindings; partial results kept")
+                    break
+                work += len(pattern_instances)
                 children = extend(pattern, pattern_instances, corpus_index, cfg)
                 stack.extend(reversed(children))
 
@@ -490,27 +498,29 @@ def filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
     Dominating candidates come from an inverted index, not from a scan of
     every pair: the int mask stored under (change-graph id, node) has bit j
     set when pattern j binds that node in that graph. For p, the candidates
-    start as the mask of all larger patterns. Each instance of p ANDs in the
-    masks of its nodes, then keeps only the candidates with one instance in
-    that graph whose node set contains the instance's. p is dominated when a
-    candidate survives every instance; with no instances, when any larger
-    pattern exists. Kept patterns stay in input order.
+    are the larger patterns whose masks hold every node of every instance of
+    p. p is dominated when one candidate has, for each instance of p, an
+    instance in the same graph whose node set contains it; with no
+    instances, when any larger pattern exists. A node set is an int with a
+    bit per node id, far smaller than a frozenset when there are millions
+    of instances. Kept patterns stay in input order.
     """
     def bulk(record: PatternRecord) -> tuple[int, int]:
         return (record.size,
                 len(record.graph.edges) + len(record.graph.map_edges))
 
     node_sets = [
-        [(gid, frozenset(binding)) for gid, binding in record.instances]
+        [(gid, sum(1 << node for node in binding))
+         for gid, binding in record.instances]
         for record in patterns
     ]
     holders: dict[tuple[str, int], int] = {}
     same_bulk: dict[tuple[int, int], int] = {}
     for j, record in enumerate(patterns):
         bit = 1 << j
-        for gid, nodes in node_sets[j]:
-            for node in nodes:
-                holders[gid, node] = holders.get((gid, node), 0) | bit
+        for key in {(gid, node) for gid, binding in record.instances
+                    for node in binding}:
+            holders[key] = holders.get(key, 0) | bit
         rank = bulk(record)
         same_bulk[rank] = same_bulk.get(rank, 0) | bit
     larger: dict[tuple[int, int], int] = {}
@@ -522,19 +532,19 @@ def filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
     keep = []
     for i, record in enumerate(patterns):
         candidates = larger[bulk(record)]
-        for gid, nodes in node_sets[i]:
+        for gid, binding in record.instances:
             if not candidates:
                 break
-            mask = candidates
-            for node in nodes:
-                mask &= holders[gid, node]
-            candidates = 0
-            while mask:
-                low = mask & -mask
-                if any(gid == o_gid and nodes <= o_nodes
-                       for o_gid, o_nodes in node_sets[low.bit_length() - 1]):
-                    candidates |= low
-                mask ^= low
+            for node in binding:
+                candidates &= holders[gid, node]
+        while candidates:
+            low = candidates & -candidates
+            covering = node_sets[low.bit_length() - 1]
+            if all(any(gid == o_gid and nodes & o_nodes == nodes
+                       for o_gid, o_nodes in covering)
+                   for gid, nodes in node_sets[i]):
+                break
+            candidates ^= low
         if not candidates:
             keep.append(record)
     return keep

@@ -317,13 +317,32 @@ def test_config_file_rejects_another_commands_keys(tmp_path, small_repo,
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _flags(text: str) -> set[str]:
+    return set(re.findall(r"--[a-z][a-z-]*", text))
+
+
+def _usage_block(section: str, command: str) -> str:
+    """README's `changeminer COMMAND` line and the indented lines after it."""
+    lines = section.splitlines()
+    start = next(i for i, line in enumerate(lines)
+                 if line.startswith(f"changeminer {command} "))
+    block = [lines[start]]
+    for line in lines[start + 1:]:
+        if not line.startswith(" "):
+            break
+        block.append(line)
+    return "\n".join(block)
+
+
 @pytest.mark.parametrize("command", ["mine", "patterns"])
 def test_readme_lists_every_flag(command, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
     assert exit_info.value.code == 0
-    printed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    printed = _flags(capsys.readouterr().out)
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
-    missing = printed - set(re.findall(r"--[a-z][a-z-]*", section))
+    missing = printed - _flags(section)
     assert not missing, f"README's Command line section lacks {sorted(missing)}"
+    stale = _flags(_usage_block(section, command)) - printed
+    assert not stale, f"README's {command} usage lists unknown {sorted(stale)}"

@@ -207,6 +207,24 @@ def test_manifest_counts_unsupported_and_parse_failures(tmp_path):
     assert store.manifest()["repos"]["r1"] == info
 
 
+def test_too_deeply_nested_function_is_counted_unsupported(tmp_path, caplog):
+    def deep(last: str) -> str:
+        return "def deep(a):\n    return " + " + ".join(["a"] * 1500 + [last]) + "\n"
+
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": deep("b") + "def f():\n    return a(1)\n"},
+                 "initial")
+    commit_files(repo, {"mod.py": deep("c") + "def f():\n    return b(1)\n"},
+                 "edit both")
+    with caplog.at_level(logging.WARNING, logger="changeminer.history"):
+        store, info = mine_into(tmp_path, repo)
+    assert [r["provenance"]["function"] for r in store.iter_records()] == ["mod.f"]
+    assert (info["function_pairs"], info["pairs_unchanged"], info["unsupported"],
+            info["parse_failures"], info["graphs"]) == (2, 0, 1, 0, 1)
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert "mod.py: mod.deep: unsupported: nesting too deep" in warning
+
+
 def _pair(before: str, after: str):
     tree_b, tree_a = parse_module(before), parse_module(after)
     unit_b = extract_functions(tree_b, "m")[0]

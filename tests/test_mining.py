@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from changeminer import mining
+from changeminer.cli import main as cli_main
+from changeminer.history import ChangeGraphStore
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 TNode, canonical_key, collect_seeds,
                                 exact_isomorphic, extend, filter_cross_project,
@@ -502,11 +506,26 @@ def test_filter_cross_project():
     assert filter_cross_project([multi, single]) == [multi]
 
 
-def test_budget_warning_recorded():
-    corpus = fig2_corpus()
-    result = mine(corpus, MiningConfig(per_seed_time_budget=0.0))
-    assert result.patterns == []
-    assert any("budget" in w for w in result.warnings)
+def test_work_bound_warns_and_keeps_output_byte_stable(tmp_path, monkeypatch):
+    monkeypatch.setattr(mining, "SEED_WORK_BOUND", 30)
+    store = ChangeGraphStore(tmp_path / "store")
+    for i, repo in enumerate(("ra", "rb", "rc")):
+        store.append(change_record(FIG2_BEFORE, FIG2_AFTER, repo, f"c{i}"))
+    store.finalize({}, {})
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert cli_main(["patterns", "--store", str(store.root),
+                         "--out", str(out)]) == 0
+        runs.append({path.relative_to(out).as_posix(): path.read_bytes()
+                     for path in sorted(out.rglob("*")) if path.is_file()})
+    assert runs[0] == runs[1]
+    manifest = json.loads(runs[0]["manifest.json"])
+    assert manifest["pattern_count"] == 1
+    assert manifest["warnings"] == [
+        f"budget exceeded for seed {seed} after 30 instance bindings; "
+        "partial results kept"
+        for seed in ("?.add -> ?.update", "set -> set")]
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +604,8 @@ def random_corpus(seed: int) -> list[CorpusGraph]:
     return load_corpus(records)
 
 
-_ORACLE_CFG = MiningConfig(
-    min_size=3, min_freq=2, max_size=6,
-    max_extensions_per_step=10_000, per_seed_time_budget=600.0,
-    keep_subpatterns=True)
+_ORACLE_CFG = MiningConfig(min_size=3, min_freq=2, max_size=6,
+                           keep_subpatterns=True)
 
 
 @pytest.mark.parametrize("seed", range(10))
