@@ -121,10 +121,8 @@ def build_change_graph(g_b: Fgpdg, g_a: Fgpdg,
 
 
 def _tagged(node: FgNode, new_id: int, version: str) -> FgNode:
-    out = FgNode(new_id, node.kind, node.subkind, node.label, node.span,
-                 concrete_name=node.concrete_name, version=version)
-    out.origins = node.origins
-    return out
+    return FgNode(new_id, node.kind, node.subkind, node.label, node.span,
+                  concrete_name=node.concrete_name, version=version)
 
 
 def _context(graph: Fgpdg, changed: set[int], mapped: set[int]) -> set[int]:

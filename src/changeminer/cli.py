@@ -96,27 +96,22 @@ def main(argv: list[str] | None = None) -> int:
     p_mine.add_argument("--repos", required=True,
                         help="file of `repo_id url_or_path [domain_tag]` lines")
     p_mine.add_argument("--out", required=True, help="store directory")
-    p_mine.add_argument("--jobs", type=int, default=None)
-    p_mine.add_argument("--max-files-per-commit", type=int, default=None,
-                        dest="max_files_per_commit")
-    p_mine.add_argument("--skip-merges", action=argparse.BooleanOptionalAction,
-                        default=None, dest="skip_merges")
-    p_mine.add_argument("--path-glob", default=None, dest="path_glob")
-    p_mine.add_argument("--config", default=None)
-    p_mine.add_argument("-v", "--verbose", action="store_true")
 
     p_pat = sub.add_parser("patterns", help="mine patterns from a change-graph store")
     p_pat.add_argument("--store", required=True)
     p_pat.add_argument("--out", required=True)
-    p_pat.add_argument("--min-size", type=int, default=None, dest="min_size")
-    p_pat.add_argument("--min-freq", type=int, default=None, dest="min_freq")
-    p_pat.add_argument("--max-size", type=int, default=None, dest="max_size")
-    p_pat.add_argument("--cross-project-only", action="store_true",
-                       default=None, dest="cross_project_only")
-    p_pat.add_argument("--keep-subpatterns", action="store_true",
-                       default=None, dest="keep_subpatterns")
-    p_pat.add_argument("--config", default=None)
-    p_pat.add_argument("-v", "--verbose", action="store_true")
+
+    # One flag per setting; None when not given, so _merged can tell.
+    for command, p_cmd in (("mine", p_mine), ("patterns", p_pat)):
+        for key, default in _SETTINGS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if isinstance(default, bool):
+                action = argparse.BooleanOptionalAction if default else "store_true"
+                p_cmd.add_argument(flag, action=action, default=None)
+            else:
+                p_cmd.add_argument(flag, type=type(default), default=None)
+        p_cmd.add_argument("--config", default=None)
+        p_cmd.add_argument("-v", "--verbose", action="store_true")
 
     p_rep = sub.add_parser("report", help="export mined patterns")
     p_rep.add_argument("--patterns", required=True)
@@ -148,6 +143,8 @@ def main(argv: list[str] | None = None) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     values = _merged(args)
     jobs = values.pop("jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, not {jobs}")
     filt = CommitFilter(**values)
     try:
         specs = read_repos_file(args.repos)

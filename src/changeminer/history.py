@@ -253,11 +253,8 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
                                 f"{unit_b.qualified_name}: {reason}")
                 counts["unsupported"] += 1
                 continue
-            if graph is None:
-                continue
-            graph.code = {BEFORE: _function_source(unit_b),
-                          AFTER: _function_source(unit_a)}
-            records.append(record_from_graph(graph))
+            if graph is not None:
+                records.append(record_from_graph(graph))
     counts["graphs"] = len(records)
     return records, warnings, roots, counts
 
@@ -309,6 +306,7 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
                           counts: Counter | None = None) -> ChangeGraph | None:
     """Change graph of one matched function pair, or None when nothing changed.
 
+    The graph's ``code`` holds the text and first line of each revision's def.
     Pairs that cannot differ (see ``unchanged_pair``) skip the graph layers
     and are counted under ``pairs_unchanged`` in ``counts`` when given.
     Raises UnsupportedConstruct for a changed pair that the dependence graph
@@ -322,7 +320,11 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
     g_a = build_fgpdg(unit_a, imports_a)
     tm = map_asts(unit_b.body, unit_a.body)
     nm = project_mapping(tm, g_b, g_a)
-    return build_change_graph(g_b, g_a, nm, prov)
+    graph = build_change_graph(g_b, g_a, nm, prov)
+    if graph is not None:
+        graph.code = {BEFORE: _function_source(unit_b),
+                      AFTER: _function_source(unit_a)}
+    return graph
 
 
 def record_from_graph(graph: ChangeGraph) -> dict:
@@ -441,7 +443,9 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
     roots: set[str] = set()
     counts: Counter = Counter()
     if jobs > 1 and len(job_args) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks all its workers at the first submit, so it gets no
+        # more than there are commits.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
             results = list(pool.map(_commit_job, job_args, chunksize=4))
     else:
         results = [_commit_job(args) for args in job_args]

@@ -171,7 +171,7 @@ def load_corpus(store) -> list[CorpusGraph]:
 # ---------------------------------------------------------------------------
 
 
-def collect_seeds(store, cfg: MiningConfig | None = None):
+def collect_seeds(corpus: list[CorpusGraph], cfg: MiningConfig | None = None):
     """Mapped call pairs grouped by (before label, after label).
 
     A same-label group is pruned when none of its member graphs has a changed
@@ -180,7 +180,6 @@ def collect_seeds(store, cfg: MiningConfig | None = None):
     are pruned. ``cfg`` is unused; it is kept so that callers may pass the
     search's config.
     """
-    corpus = store if isinstance(store, list) else load_corpus(store)
     groups: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
     for graph in corpus:
         for b, a in graph.map_call_pairs:
@@ -424,10 +423,10 @@ def _dedup_instances(pattern: PatternGraph, instances: list[Instance]) -> list[I
     return sorted(best.values())
 
 
-def mine(store, cfg: MiningConfig | None = None) -> PatternSet:
+def mine(corpus: list[CorpusGraph],
+         cfg: MiningConfig | None = None) -> PatternSet:
     """Depth-first pattern search over every sufficiently frequent seed group."""
     cfg = cfg or MiningConfig()
-    corpus = store if isinstance(store, list) else load_corpus(store)
     corpus_index = {graph.id: graph for graph in corpus}
     seeds = collect_seeds(corpus, cfg)
 

@@ -9,6 +9,10 @@ the operation/control nodes it immediately dominates.
 Variables are merged into one node per name (abstract label "var", concrete
 identifier kept for reporting), which is what lets patterns connect related
 statements and unify differently named code across projects.
+
+The per-kind node rules live in one table, ``_NODE_RULES``; constructs with
+edges of their own have a method each, and any other expression passes on its
+children's flow, as any other statement walks its children.
 """
 
 from __future__ import annotations
@@ -22,10 +26,19 @@ DATA, OPERATION, CONTROL = "Data", "Operation", "Control"
 DATA_EDGE_LABELS = frozenset({"def", "ref", "para", "recv", "cond", "qual"})
 CONTROL_EDGE_LABELS = frozenset({"then", "else", "body"})
 
-_CONSTANT_LABELS = frozenset({"True", "False", "None", "Ellipsis"})
-_CONTAINER_LABELS = {"List": "[]", "Tuple": "()", "Set": "{}", "Dict": "{:}",
-                     "ListComp": "[]", "SetComp": "{}", "DictComp": "{:}",
-                     "GenExp": "()", "FString": "f''"}
+# Expression kind -> (node kind, subkind, fixed label or None for the
+# expression's own label); each child's flow gets a ref edge into the node.
+_NODE_RULES = {
+    "Literal": (DATA, "literal", None), "Constant": (DATA, "constant", None),
+    "BinOp": (OPERATION, "binop", None), "BoolOp": (OPERATION, "binop", None),
+    "UnaryOp": (OPERATION, "unaryop", None),
+    "Compare": (OPERATION, "compare", None),
+    "List": (DATA, "literal", "[]"), "Tuple": (DATA, "literal", "()"),
+    "Set": (DATA, "literal", "{}"), "Dict": (DATA, "literal", "{:}"),
+    "FString": (DATA, "literal", "f''"),
+}
+_COMPREHENSION_LABELS = {"ListComp": "[]", "SetComp": "{}", "DictComp": "{:}",
+                         "GenExp": "()"}
 
 
 class UnsupportedConstruct(Exception):
@@ -164,15 +177,12 @@ class _Builder:
         handler = getattr(self, "_stmt_" + kind.lower(), None)
         if handler is not None:
             handler(stmt)
-        elif stmt.children:
+        else:
             for child in stmt.children:
                 if child.kind == "Block":
                     self.walk_block(child)
                 else:
                     self.eval_expr(child)
-
-    def _stmt_expr(self, stmt: AstNode) -> None:
-        self.eval_expr(stmt.children[0])
 
     def _stmt_assign(self, stmt: AstNode) -> None:
         *targets, value = stmt.children
@@ -181,10 +191,8 @@ class _Builder:
             self.assign_to(target, sources)
 
     def _stmt_annassign(self, stmt: AstNode) -> None:
-        target = stmt.children[0]
-        value_children = [c for c in stmt.children[1:] if c.kind != "Annotation"]
-        if value_children:
-            self.assign_to(target, self.eval_expr(value_children[0]))
+        if len(stmt.children) == 3:  # target, Annotation, value
+            self.assign_to(stmt.children[0], self.eval_expr(stmt.children[2]))
 
     def _stmt_augassign(self, stmt: AstNode) -> None:
         target, value = stmt.children
@@ -200,30 +208,16 @@ class _Builder:
         else:
             self.assign_to(target, [op])
 
-    def _stmt_return(self, stmt: AstNode) -> None:
-        for child in stmt.children:
-            self.eval_expr(child)
-
-    _stmt_raise = _stmt_return
-    _stmt_assert = _stmt_return
-
     def _stmt_if(self, stmt: AstNode) -> None:
-        control = self._node(CONTROL, "if", "if", stmt)
+        kind = stmt.kind.lower()
+        control = self._node(CONTROL, kind, kind, stmt)
         self._edges_into(self.eval_expr(stmt.children[0]), control, "cond")
-        self._branches(stmt, control, {"then": "then", "else": "else"})
+        self._branches(stmt, control)
 
-    def _stmt_while(self, stmt: AstNode) -> None:
-        control = self._node(CONTROL, "while", "while", stmt)
-        self._edges_into(self.eval_expr(stmt.children[0]), control, "cond")
-        self._branches(stmt, control, {"body": "body", "else": "else"})
+    _stmt_while = _stmt_if
 
     def _stmt_for(self, stmt: AstNode) -> None:
-        control = self._node(CONTROL, "for", "for", stmt)
-        target, iterable = stmt.children[0], stmt.children[1]
-        sources = self.eval_expr(iterable)
-        self._edges_into(sources, control, "cond")
-        self.assign_to(target, sources)
-        self._branches(stmt, control, {"body": "body", "else": "else"})
+        self._branches(stmt, self._loop_head(stmt))
 
     def _stmt_with(self, stmt: AstNode) -> None:
         control = self._node(CONTROL, "with", "with", stmt)
@@ -233,35 +227,35 @@ class _Builder:
                 self._edges_into(sources, control, "cond")
                 if len(child.children) > 1:
                     self.assign_to(child.children[1], sources)
-        self._branches(stmt, control, {"body": "body"})
+        self._branches(stmt, control)
 
     def _stmt_try(self, stmt: AstNode) -> None:
-        control = self._node(CONTROL, "try", "try", stmt)
+        self._branches(stmt, self._node(CONTROL, "try", "try", stmt))
+
+    def _loop_head(self, loop: AstNode) -> FgNode:
+        """The for node of a loop or comprehension clause, its target bound."""
+        control = self._node(CONTROL, "for", "for", loop)
+        target, iterable = loop.children[0], loop.children[1]
+        sources = self.eval_expr(iterable)
+        self._edges_into(sources, control, "cond")
+        self.assign_to(target, sources)
+        return control
+
+    def _branches(self, stmt: AstNode, control: FgNode) -> None:
+        # Each block runs under its own label; an except handler is a try
+        # node on the ``then`` branch, with its body below it.
         for child in stmt.children:
-            if child.kind == "Block" and child.label == "body":
-                self._in_branch(control, "body", child)
-            elif child.kind == "Block" and child.label == "else":
-                self._in_branch(control, "else", child)
-            elif child.kind == "Block" and child.label == "finally":
-                raise UnsupportedConstruct("finally", child.span)
+            if child.kind == "Block":
+                if child.label == "finally":
+                    raise UnsupportedConstruct("finally", child.span)
+                self.control_stack.append((control, child.label))
+                self.walk_block(child)
+                self.control_stack.pop()
             elif child.kind == "Except":
                 self.control_stack.append((control, "then"))
                 handler = self._node(CONTROL, "try", child.label, child)
                 self.control_stack.pop()
-                for block in child.children:
-                    if block.kind == "Block":
-                        self._in_branch(handler, "body", block)
-
-    def _branches(self, stmt: AstNode, control: FgNode,
-                  label_map: dict[str, str]) -> None:
-        for child in stmt.children:
-            if child.kind == "Block" and child.label in label_map:
-                self._in_branch(control, label_map[child.label], child)
-
-    def _in_branch(self, control: FgNode, branch: str, block: AstNode) -> None:
-        self.control_stack.append((control, branch))
-        self.walk_block(block)
-        self.control_stack.pop()
+                self._branches(child, handler)
 
     # -- expressions ----------------------------------------------------------
 
@@ -288,39 +282,21 @@ class _Builder:
         kind = expr.kind
         if kind == "Name":
             return [self._var(expr)]
-        if kind == "Literal":
-            return [self._node(DATA, "literal", expr.label, expr)]
-        if kind == "Constant":
-            return [self._node(DATA, "constant", expr.label, expr)]
+        rule = _NODE_RULES.get(kind)
+        if rule is not None:
+            node_kind, subkind, label = rule
+            node = self._node(node_kind, subkind, label or expr.label, expr)
+            for child in expr.children:
+                self._edges_into(self.eval_expr(child), node, "ref")
+            return [node]
         if kind == "Call":
             return self._eval_call(expr)
         if kind == "Attribute":
             node = self._attribute_node(expr)
             return [node] if node is not None else []
-        if kind in ("BinOp", "BoolOp"):
-            op = self._node(OPERATION, "binop", expr.label, expr)
-            for child in expr.children:
-                self._edges_into(self.eval_expr(child), op, "ref")
-            return [op]
-        if kind == "UnaryOp":
-            op = self._node(OPERATION, "unaryop", expr.label, expr)
-            self._edges_into(self.eval_expr(expr.children[0]), op, "ref")
-            return [op]
-        if kind == "Compare":
-            op = self._node(OPERATION, "compare", expr.label, expr)
-            for child in expr.children:
-                self._edges_into(self.eval_expr(child), op, "ref")
-            return [op]
         if kind == "Subscript":
             return [self._subscript_node(expr)]
-        if kind in ("List", "Tuple", "Set", "Dict", "FString"):
-            container = self._node(DATA, "literal", _CONTAINER_LABELS[kind], expr)
-            for child in expr.children:
-                if child.kind == "DoubleStar":
-                    continue
-                self._edges_into(self.eval_expr(child), container, "ref")
-            return [container]
-        if kind in ("ListComp", "SetComp", "GenExp", "DictComp"):
+        if kind in _COMPREHENSION_LABELS:
             return [self._eval_comprehension(expr)]
         if kind == "Lambda":
             # Opaque by design: bounds graph complexity.
@@ -332,15 +308,10 @@ class _Builder:
             sources = self.eval_expr(value)
             self.assign_to(target, sources)
             return [self._var(target)] if target.kind == "Name" else sources
-        if kind in ("Starred", "Await", "FormatValue", "Slice", "Keyword",
-                    "Expr"):
-            out: list[FgNode] = []
-            for child in expr.children:
-                out.extend(self.eval_expr(child))
-            return out
         if kind in ("Yield", "YieldFrom"):
             raise UnsupportedConstruct(kind, expr.span)
-        # Unknown expression kinds contribute their children's flow.
+        # Any other kind (starred, await, keyword, slice, ...) passes its
+        # children's flow on.
         out = []
         for child in expr.children:
             out.extend(self.eval_expr(child))
@@ -375,17 +346,12 @@ class _Builder:
         return op
 
     def _eval_comprehension(self, expr: AstNode) -> FgNode:
-        result = self._node(DATA, "literal", _CONTAINER_LABELS[expr.kind], expr)
+        result = self._node(DATA, "literal", _COMPREHENSION_LABELS[expr.kind], expr)
         elements = [c for c in expr.children if c.kind != "CompFor"]
         comps = [c for c in expr.children if c.kind == "CompFor"]
         depth = 0
         for comp in comps:
-            control = self._node(CONTROL, "for", "for", comp)
-            target, iterable = comp.children[0], comp.children[1]
-            sources = self.eval_expr(iterable)
-            self._edges_into(sources, control, "cond")
-            self.assign_to(target, sources)
-            self.control_stack.append((control, "body"))
+            self.control_stack.append((self._loop_head(comp), "body"))
             depth += 1
             for cond in comp.children[2:]:
                 if cond.kind == "CompIf":

@@ -79,7 +79,7 @@ class FunctionUnit:
 
     A unit keeps its raw ``ast`` def and the lines of its file. The normalized
     ``body`` (nested defs reduced to stubs, so no tree node belongs to two
-    units), ``params`` and ``span`` are built from that def on first access,
+    units) and ``params`` are built from that def on first access,
     so a unit that is never looked into is never converted. Whether a unit
     can be modelled is decided by the graph builder (``pdg``), not here.
     """
@@ -102,10 +102,6 @@ class FunctionUnit:
             if child.kind == "Params":
                 return [p.label for p in child.children if p.kind == "Param"]
         return []
-
-    @property
-    def span(self) -> Span:
-        return self.body.span
 
     @property
     def line_range(self) -> tuple[int, int]:

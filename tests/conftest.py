@@ -42,10 +42,6 @@ def change_record(before_src: str, after_src: str, repo: str = "repo",
                   commit: str = "c1", path: str = "a.py") -> dict:
     graph = change_graph_for(before_src, after_src, repo, commit, path)
     assert graph is not None, "expected a non-empty change graph"
-    graph.code = {
-        "Before": {"text": before_src, "start_line": 1},
-        "After": {"text": after_src, "start_line": 1},
-    }
     return record_from_graph(graph)
 
 

@@ -285,6 +285,13 @@ def test_config_boolean_typo_exits_one_naming_the_key(tmp_path, small_repo, caps
                  "--config", str(config)]) == 1
     assert "skip_merges" in capsys.readouterr().err
     assert not (tmp_path / "store").exists()
+    # a job count below one, from a flag or a config file, is refused too
+    config.write_text("jobs = -1\n")
+    for extra in (["--jobs", "0"], ["--config", str(config)]):
+        assert main(["mine", "--repos", listing,
+                     "--out", str(tmp_path / "store"), *extra]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()
 
 
 def test_mine_config_file_reaches_the_commit_filter(tmp_path, twin_repo, capsys):

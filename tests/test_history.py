@@ -339,8 +339,13 @@ def test_parallel_mining_matches_serial(tmp_path, monkeypatch):
                  "shallow copy is enough")
     commit_files(repo, {"mod.py": COPY_AFTER}, "deepcopy again")
     pools = []
+    workers = []
 
     class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
         def map(self, *args, **kwargs):
             pools.append(self)
             return super().map(*args, **kwargs)
@@ -352,7 +357,8 @@ def test_parallel_mining_matches_serial(tmp_path, monkeypatch):
     info_s = mine_repository(spec, CommitFilter(), serial, jobs=1)
     assert pools == []
     info_p = mine_repository(spec, CommitFilter(), parallel, jobs=4)
-    assert len(pools) == 1
+    # three commit jobs: the pool starts no fourth worker
+    assert len(pools) == 1 and workers == [3]
     serial.finalize({}, {"r1": info_s})
     parallel.finalize({}, {"r1": info_p})
     assert info_s == info_p and info_s["graphs"] == 3

@@ -225,3 +225,169 @@ def test_augmented_assignment_target_yields_one_node(statement):
     assert len(targets) == 1
     assert ("Data", "ref") in edges_between(graph, targets[0], binop)
     assert ("Data", "def") in edges_between(graph, binop, targets[0])
+
+
+# One async def that reaches every rule of the builder; syntax whose ``ast``
+# is the same on Python 3.10 to 3.13.
+_EVERY_RULE = '''\
+async def every_rule(items, mapping, obj, flag):
+    total = 0
+    label = None
+    pairs = [1, "a"], (2,), {3}, {"k": 4, **mapping}
+    neg = -total if not flag else ~total
+    check = 0 < total <= 10 and flag or total is None
+    scale = lambda v: v * 2
+    if (n := len(items)) > 3:
+        total += n
+    elif flag:
+        label = f"n={n}"
+    while total < 100:
+        total = total * 2 + 1
+    else:
+        total -= 1
+    for key, *rest in items:
+        obj.count += key
+        mapping[key] -= 1
+    else:
+        total ^= 3
+    with open(items[0]) as handle, lock:
+        data = await handle.read(size=10, **mapping)
+    try:
+        squares = {k: v ** 2 for k, v in mapping.items() if v}
+        print(*items, sep="")
+    except (KeyError, ValueError) as exc:
+        raise RuntimeError(exc) from exc
+    except OSError:
+        total = ...
+    else:
+        head = items[1:n:2]
+    width: int
+    height: int = total // 2
+    assert total, "total must be set"
+    return [x for x in items if x], (y for y in items), {z for z in items}
+'''
+
+_PINNED_NODES = [
+    ('Data', 'literal', '0', None), ('Data', 'var', 'var', 'total'),
+    ('Data', 'constant', 'None', None), ('Data', 'var', 'var', 'label'),
+    ('Data', 'literal', '()', None), ('Data', 'literal', '[]', None),
+    ('Data', 'literal', '1', None), ('Data', 'literal', "'a'", None),
+    ('Data', 'literal', '()', None), ('Data', 'literal', '2', None),
+    ('Data', 'literal', '{}', None), ('Data', 'literal', '3', None),
+    ('Data', 'literal', '{:}', None), ('Data', 'literal', "'k'", None),
+    ('Data', 'literal', '4', None), ('Data', 'var', 'var', 'mapping'),
+    ('Data', 'var', 'var', 'pairs'), ('Control', 'if', 'if', None),
+    ('Operation', 'unaryop', 'not', None), ('Data', 'var', 'var', 'flag'),
+    ('Operation', 'unaryop', '-', None), ('Operation', 'unaryop', '~', None),
+    ('Data', 'var', 'var', 'neg'), ('Operation', 'binop', 'or', None),
+    ('Operation', 'binop', 'and', None),
+    ('Operation', 'compare', '< <=', None), ('Data', 'literal', '0', None),
+    ('Data', 'literal', '10', None), ('Operation', 'compare', 'is', None),
+    ('Data', 'constant', 'None', None), ('Data', 'var', 'var', 'check'),
+    ('Data', 'literal', 'lambda', None), ('Data', 'var', 'var', 'scale'),
+    ('Control', 'if', 'if', None), ('Operation', 'compare', '>', None),
+    ('Operation', 'call', 'len', 'len'), ('Data', 'var', 'var', 'items'),
+    ('Data', 'var', 'var', 'n'), ('Data', 'literal', '3', None),
+    ('Operation', 'binop', '+', None), ('Control', 'if', 'if', None),
+    ('Data', 'literal', "f''", None), ('Data', 'literal', "'n='", None),
+    ('Control', 'while', 'while', None), ('Operation', 'compare', '<', None),
+    ('Data', 'literal', '100', None), ('Operation', 'binop', '+', None),
+    ('Operation', 'binop', '*', None), ('Data', 'literal', '2', None),
+    ('Data', 'literal', '1', None), ('Operation', 'binop', '-', None),
+    ('Data', 'literal', '1', None), ('Control', 'for', 'for', None),
+    ('Data', 'var', 'var', 'key'), ('Data', 'var', 'var', 'rest'),
+    ('Operation', 'binop', '+', None),
+    ('Operation', 'attribute', 'count', None), ('Data', 'var', 'var', 'obj'),
+    ('Operation', 'binop', '-', None), ('Operation', 'subscript', '[]', None),
+    ('Data', 'literal', '1', None), ('Operation', 'binop', '^', None),
+    ('Data', 'literal', '3', None), ('Control', 'with', 'with', None),
+    ('Operation', 'call', 'open', 'open'),
+    ('Operation', 'subscript', '[]', None), ('Data', 'literal', '0', None),
+    ('Data', 'var', 'var', 'handle'), ('Data', 'var', 'var', 'lock'),
+    ('Operation', 'call', '?.read', 'read'), ('Data', 'literal', '10', None),
+    ('Data', 'var', 'var', 'data'), ('Control', 'try', 'try', None),
+    ('Data', 'literal', '{:}', None), ('Control', 'for', 'for', None),
+    ('Operation', 'call', '?.items', 'items'), ('Data', 'var', 'var', 'k'),
+    ('Data', 'var', 'var', 'v'), ('Control', 'if', 'if', None),
+    ('Operation', 'binop', '**', None), ('Data', 'literal', '2', None),
+    ('Data', 'var', 'var', 'squares'), ('Operation', 'call', 'print', 'print'),
+    ('Data', 'literal', "''", None),
+    ('Control', 'try', 'except:KeyError,ValueError', None),
+    ('Operation', 'call', 'RuntimeError', 'RuntimeError'),
+    ('Data', 'var', 'var', 'exc'), ('Control', 'try', 'except:OSError', None),
+    ('Data', 'constant', 'Ellipsis', None),
+    ('Operation', 'subscript', '[]', None), ('Data', 'literal', '1', None),
+    ('Data', 'literal', '2', None), ('Data', 'var', 'var', 'head'),
+    ('Operation', 'binop', '//', None), ('Data', 'literal', '2', None),
+    ('Data', 'var', 'var', 'height'), ('Data', 'literal', '()', None),
+    ('Data', 'literal', '[]', None), ('Control', 'for', 'for', None),
+    ('Data', 'var', 'var', 'x'), ('Control', 'if', 'if', None),
+    ('Data', 'literal', '()', None), ('Control', 'for', 'for', None),
+    ('Data', 'var', 'var', 'y'), ('Data', 'literal', '{}', None),
+    ('Control', 'for', 'for', None), ('Data', 'var', 'var', 'z'),
+]
+_PINNED_EDGES = [
+    (0, 1, 'Data', 'def'), (1, 20, 'Data', 'ref'), (1, 21, 'Data', 'ref'),
+    (1, 25, 'Data', 'ref'), (1, 28, 'Data', 'ref'), (1, 39, 'Data', 'ref'),
+    (1, 44, 'Data', 'ref'), (1, 47, 'Data', 'ref'), (1, 50, 'Data', 'ref'),
+    (1, 61, 'Data', 'ref'), (1, 93, 'Data', 'ref'), (2, 3, 'Data', 'def'),
+    (4, 16, 'Data', 'def'), (5, 4, 'Data', 'ref'), (6, 5, 'Data', 'ref'),
+    (7, 5, 'Data', 'ref'), (8, 4, 'Data', 'ref'), (9, 8, 'Data', 'ref'),
+    (10, 4, 'Data', 'ref'), (11, 10, 'Data', 'ref'), (12, 4, 'Data', 'ref'),
+    (13, 12, 'Data', 'ref'), (14, 12, 'Data', 'ref'), (15, 12, 'Data', 'ref'),
+    (15, 59, 'Data', 'qual'), (15, 69, 'Data', 'para'),
+    (15, 75, 'Data', 'recv'), (17, 20, 'Control', 'then'),
+    (17, 21, 'Control', 'else'), (18, 17, 'Data', 'cond'),
+    (19, 18, 'Data', 'ref'), (19, 24, 'Data', 'ref'), (19, 40, 'Data', 'cond'),
+    (20, 22, 'Data', 'def'), (21, 22, 'Data', 'def'), (23, 30, 'Data', 'def'),
+    (24, 23, 'Data', 'ref'), (25, 24, 'Data', 'ref'), (26, 25, 'Data', 'ref'),
+    (27, 25, 'Data', 'ref'), (28, 23, 'Data', 'ref'), (29, 28, 'Data', 'ref'),
+    (31, 32, 'Data', 'def'), (33, 39, 'Control', 'then'),
+    (33, 40, 'Control', 'else'), (34, 33, 'Data', 'cond'),
+    (35, 37, 'Data', 'def'), (36, 35, 'Data', 'para'),
+    (36, 52, 'Data', 'cond'), (36, 53, 'Data', 'def'), (36, 54, 'Data', 'def'),
+    (36, 65, 'Data', 'qual'), (36, 82, 'Data', 'para'),
+    (36, 89, 'Data', 'qual'), (36, 98, 'Data', 'cond'),
+    (36, 99, 'Data', 'def'), (36, 102, 'Data', 'cond'),
+    (36, 103, 'Data', 'def'), (36, 105, 'Data', 'cond'),
+    (36, 106, 'Data', 'def'), (37, 34, 'Data', 'ref'), (37, 39, 'Data', 'ref'),
+    (37, 41, 'Data', 'ref'), (37, 89, 'Data', 'ref'), (38, 34, 'Data', 'ref'),
+    (39, 1, 'Data', 'def'), (41, 3, 'Data', 'def'), (42, 41, 'Data', 'ref'),
+    (43, 46, 'Control', 'body'), (43, 47, 'Control', 'body'),
+    (43, 50, 'Control', 'else'), (44, 43, 'Data', 'cond'),
+    (45, 44, 'Data', 'ref'), (46, 1, 'Data', 'def'), (47, 46, 'Data', 'ref'),
+    (48, 47, 'Data', 'ref'), (49, 46, 'Data', 'ref'), (50, 1, 'Data', 'def'),
+    (51, 50, 'Data', 'ref'), (52, 55, 'Control', 'body'),
+    (52, 56, 'Control', 'body'), (52, 58, 'Control', 'body'),
+    (52, 59, 'Control', 'body'), (52, 61, 'Control', 'else'),
+    (53, 55, 'Data', 'ref'), (53, 59, 'Data', 'ref'), (55, 56, 'Data', 'def'),
+    (56, 55, 'Data', 'ref'), (57, 56, 'Data', 'qual'), (58, 59, 'Data', 'def'),
+    (59, 58, 'Data', 'ref'), (60, 58, 'Data', 'ref'), (61, 1, 'Data', 'def'),
+    (62, 61, 'Data', 'ref'), (63, 69, 'Control', 'body'),
+    (64, 63, 'Data', 'cond'), (64, 67, 'Data', 'def'),
+    (65, 64, 'Data', 'para'), (66, 65, 'Data', 'ref'),
+    (67, 69, 'Data', 'recv'), (68, 63, 'Data', 'cond'),
+    (69, 71, 'Data', 'def'), (70, 69, 'Data', 'para'),
+    (72, 74, 'Control', 'body'), (72, 75, 'Control', 'body'),
+    (72, 82, 'Control', 'body'), (72, 84, 'Control', 'then'),
+    (72, 87, 'Control', 'then'), (72, 89, 'Control', 'else'),
+    (73, 81, 'Data', 'def'), (74, 78, 'Control', 'body'),
+    (75, 74, 'Data', 'cond'), (75, 76, 'Data', 'def'), (75, 77, 'Data', 'def'),
+    (76, 73, 'Data', 'ref'), (77, 78, 'Data', 'cond'), (77, 79, 'Data', 'ref'),
+    (78, 79, 'Control', 'body'), (79, 73, 'Data', 'ref'),
+    (80, 79, 'Data', 'ref'), (83, 82, 'Data', 'para'),
+    (84, 85, 'Control', 'body'), (86, 85, 'Data', 'para'),
+    (88, 1, 'Data', 'def'), (89, 92, 'Data', 'def'), (90, 89, 'Data', 'ref'),
+    (91, 89, 'Data', 'ref'), (93, 95, 'Data', 'def'), (94, 93, 'Data', 'ref'),
+    (97, 96, 'Data', 'ref'), (98, 100, 'Control', 'body'),
+    (99, 97, 'Data', 'ref'), (99, 100, 'Data', 'cond'),
+    (101, 96, 'Data', 'ref'), (103, 101, 'Data', 'ref'),
+    (104, 96, 'Data', 'ref'), (106, 104, 'Data', 'ref'),
+]
+
+
+def test_every_rule_builds_the_pinned_graph():
+    graph = graph_of(_EVERY_RULE)
+    assert [(n.kind, n.subkind, n.label, n.concrete_name)
+            for n in graph.nodes] == _PINNED_NODES
+    assert [(e.src, e.dst, e.kind, e.label) for e in graph.edges] == _PINNED_EDGES

@@ -215,7 +215,7 @@ def _matches_full_tree_frontend(source: str):
     expected = _oracle.extract_functions(tree, "m")
     assert [u.qualified_name for u in units] == [u.qualified_name for u in expected]
     for unit, old in zip(units, expected):
-        assert unit.span == old.span, unit.qualified_name
+        assert unit.body.span == old.span, unit.qualified_name
         assert unit.line_range == (old.span[0], old.span[2]), unit.qualified_name
         assert same_tree(unit.body, old.body), unit.qualified_name
         assert [n.span for n in unit.body.preorder()] == \
