@@ -1,11 +1,12 @@
 """Before/after tree correspondence and its projection onto dependence graphs.
 
-Matching runs in two phases: a greedy top-down pass that pairs maximal
-isomorphic subtrees, then a bottom-up pass that pairs containers whose
-descendants already share enough matches (Dice coefficient), interleaved with
-a recovery pass that pairs remaining equal leaves under matched containers.
-The bottom-up/recovery pair iterates to a fixpoint because recovered leaves
-can unlock further container matches.
+Each tree is indexed once (``_TreeIndex``). Matching then runs in two
+phases: a greedy top-down pass that pairs maximal isomorphic subtrees,
+tallest first, then a bottom-up pass that pairs containers whose descendants
+already share enough matches (Dice coefficient), interleaved with a recovery
+pass that pairs remaining equal leaves under matched containers. The
+bottom-up/recovery pair iterates to a fixpoint because recovered leaves can
+unlock further container matches.
 """
 
 from __future__ import annotations
@@ -29,72 +30,69 @@ class TreeMapping:
     """Injective pairing of before-tree nodes to after-tree nodes."""
 
     pairs: list[tuple[AstNode, AstNode]] = field(default_factory=list)
-    _fwd: dict[int, AstNode] = field(default_factory=dict, repr=False)
-    _bwd: dict[int, AstNode] = field(default_factory=dict, repr=False)
+    _fwd: dict[AstNode, AstNode] = field(default_factory=dict, repr=False)
+    _bwd: dict[AstNode, AstNode] = field(default_factory=dict, repr=False)
 
     def add(self, before: AstNode, after: AstNode) -> bool:
-        if id(before) in self._fwd or id(after) in self._bwd:
+        if before in self._fwd or after in self._bwd:
             return False
         self.pairs.append((before, after))
-        self._fwd[id(before)] = after
-        self._bwd[id(after)] = before
+        self._fwd[before] = after
+        self._bwd[after] = before
         return True
 
     def has_before(self, node: AstNode) -> bool:
-        return id(node) in self._fwd
+        return node in self._fwd
 
     def has_after(self, node: AstNode) -> bool:
-        return id(node) in self._bwd
+        return node in self._bwd
 
     def after_of(self, node: AstNode) -> AstNode | None:
-        return self._fwd.get(id(node))
+        return self._fwd.get(node)
 
     def before_of(self, node: AstNode) -> AstNode | None:
-        return self._bwd.get(id(node))
+        return self._bwd.get(node)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
 
 class _TreeIndex:
-    """Per-tree tables: preorder index and end, height, fingerprints.
+    """Per-tree tables keyed by node, built in one pass over the preorder.
 
-    A node's descendants are ``order[index + 1:end]``, so "is a descendant
-    of" is a range test on preorder indices (as in GumTree).
+    A node's subtree is ``order[index:end]`` and its descendants are
+    ``order[index + 1:end]``, so "is a descendant of" is a range test on
+    preorder indices (as in GumTree). ``height`` is 1 at a leaf, the
+    ``fingerprint`` is a SHA-1 of kind, label and the children's
+    fingerprints, and ``by_height`` lists the nodes of each height in
+    preorder. Every height from 1 to the root's has nodes.
     """
 
     def __init__(self, root: AstNode):
-        self.root = root
-        self.order: list[AstNode] = []
-        self.index: dict[int, int] = {}
-        self.end: dict[int, int] = {}
-        self.height: dict[int, int] = {}
-        self.fingerprint: dict[int, str] = {}
-        self._build(root)
-
-    def _build(self, root: AstNode) -> None:
-        def visit(node: AstNode) -> tuple[int, str]:
-            self.index[id(node)] = len(self.order)
-            self.order.append(node)
-            height = 1
-            child_fps = []
-            for child in node.children:
-                c_height, c_fp = visit(child)
-                height = max(height, c_height + 1)
-                child_fps.append(c_fp)
-            digest = hashlib.sha1(
-                "|".join([node.kind, node.label] + child_fps).encode()
-            ).hexdigest()
-            self.end[id(node)] = len(self.order)
-            self.height[id(node)] = height
-            self.fingerprint[id(node)] = digest
-            return height, digest
-
-        visit(root)
+        self.order = list(root.preorder())
+        self.index: dict[AstNode, int] = {}
+        self.end: dict[AstNode, int] = {}
+        self.height: dict[AstNode, int] = {}
+        self.fingerprint: dict[AstNode, str] = {}
+        self.by_height: dict[int, list[AstNode]] = {}
+        # Backwards through the preorder, so children come before parents.
+        for i in range(len(self.order) - 1, -1, -1):
+            node = self.order[i]
+            children = node.children
+            height = 1 + max((self.height[c] for c in children), default=0)
+            self.index[node] = i
+            self.end[node] = self.end[children[-1]] if children else i + 1
+            self.height[node] = height
+            self.fingerprint[node] = hashlib.sha1("|".join(
+                [node.kind, node.label] + [self.fingerprint[c] for c in children]
+            ).encode()).hexdigest()
+            self.by_height.setdefault(height, []).append(node)
+        for nodes in self.by_height.values():
+            nodes.reverse()
 
     def descendants(self, node: AstNode) -> list[AstNode]:
         """The proper descendants of ``node``, in preorder."""
-        return self.order[self.index[id(node)] + 1:self.end[id(node)]]
+        return self.order[self.index[node] + 1:self.end[node]]
 
 
 def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
@@ -106,13 +104,13 @@ def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
     """
     t1 = t1 if t1 is not None else _TreeIndex(n1)
     t2 = t2 if t2 is not None else _TreeIndex(n2)
-    first, end = t1.index[id(n1)] + 1, t1.end[id(n1)]
+    first, end = t1.index[n1] + 1, t1.end[n1]
     d2 = t2.descendants(n2)
     mapped = 0
     for n in d2:
         counterpart = partial.before_of(n)
         if counterpart is not None and \
-                first <= t1.index.get(id(counterpart), -1) < end:
+                first <= t1.index.get(counterpart, -1) < end:
             mapped += 1
     denom = (end - first) + len(d2)
     if denom == 0:
@@ -134,54 +132,44 @@ def map_asts(before: AstNode, after: AstNode) -> TreeMapping:
     return mapping
 
 
-def _map_subtrees(a: AstNode, b: AstNode, mapping: TreeMapping) -> None:
-    mapping.add(a, b)
-    for ca, cb in zip(a.children, b.children):
-        _map_subtrees(ca, cb, mapping)
-
-
 def _match_top_down(t1: _TreeIndex, t2: _TreeIndex,
                     mapping: TreeMapping) -> None:
-    heights = sorted(
-        {h for h in t1.height.values() if h >= MIN_HEIGHT}
-        & {h for h in t2.height.values() if h >= MIN_HEIGHT},
-        reverse=True,
-    )
-    for h in heights:
+    # Only whole subtrees are paired here, tallest first, so every
+    # descendant of a matched node is matched and each pairing below adds
+    # all the nodes of both subtrees.
+    top = min(max(t1.by_height), max(t2.by_height))
+    for h in range(top, MIN_HEIGHT - 1, -1):
         by_fp: dict[str, tuple[list[AstNode], list[AstNode]]] = {}
-        for node in t1.order:
-            if t1.height[id(node)] == h and not mapping.has_before(node):
-                by_fp.setdefault(t1.fingerprint[id(node)], ([], []))[0].append(node)
-        for node in t2.order:
-            if t2.height[id(node)] == h and not mapping.has_after(node):
-                fp = t2.fingerprint[id(node)]
+        for node in t1.by_height[h]:
+            if not mapping.has_before(node):
+                by_fp.setdefault(t1.fingerprint[node], ([], []))[0].append(node)
+        for node in t2.by_height[h]:
+            if not mapping.has_after(node):
+                fp = t2.fingerprint[node]
                 if fp in by_fp:
                     by_fp[fp][1].append(node)
         for fp in sorted(by_fp):
             candidates_b, candidates_a = by_fp[fp]
             if not candidates_a:
                 continue
-            taken: set[int] = set()
             for node_b in candidates_b:
                 best = None
                 compared = 0
                 for node_a in candidates_a:
-                    if id(node_a) in taken or mapping.has_after(node_a):
+                    if mapping.has_after(node_a):
                         continue
                     compared += 1
                     if compared > MAX_SUBTREE_COMPARE:
                         break
-                    parent_bonus = (
-                        node_b.parent is not None and node_a.parent is not None
-                        and mapping.after_of(node_b.parent) is node_a.parent
-                    )
-                    distance = abs(t1.index[id(node_b)] - t2.index[id(node_a)])
-                    rank = (0 if parent_bonus else 1, distance)
-                    if best is None or rank < best[0]:
-                        best = (rank, node_a)
+                    distance = abs(t1.index[node_b] - t2.index[node_a])
+                    if best is None or distance < best[0]:
+                        best = (distance, node_a)
                 if best is not None:
-                    taken.add(id(best[1]))
-                    _map_subtrees(node_b, best[1], mapping)
+                    # Equal fingerprints, equal shapes: pair node for node.
+                    node_a = best[1]
+                    for pair in zip(t1.order[t1.index[node_b]:t1.end[node_b]],
+                                    t2.order[t2.index[node_a]:t2.end[node_a]]):
+                        mapping.add(*pair)
 
 
 def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
@@ -196,8 +184,8 @@ def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
             score = dice(node_b, node_a, mapping, t1, t2)
             if score < DICE_THRESHOLD:
                 continue
-            distance = abs(t1.index[id(node_b)] - t2.index[id(node_a)])
-            rank = (-score, distance, t2.index[id(node_a)])
+            distance = abs(t1.index[node_b] - t2.index[node_a])
+            rank = (-score, distance, t2.index[node_a])
             if best is None or rank < best[0]:
                 best = (rank, node_a)
         if best is not None:
@@ -209,7 +197,7 @@ def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
 def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
                           mapping: TreeMapping) -> list[AstNode]:
     """Unmatched same-kind ancestors of the counterparts of mapped descendants."""
-    seen: set[int] = set()
+    seen: set[AstNode] = set()
     out: list[AstNode] = []
     for desc in t1.descendants(node_b):
         counterpart = mapping.after_of(desc)
@@ -217,13 +205,13 @@ def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
             continue
         anc = counterpart.parent
         while anc is not None:
-            if id(anc) in seen:
+            if anc in seen:
                 break
-            seen.add(id(anc))
+            seen.add(anc)
             if anc.kind == node_b.kind and not mapping.has_after(anc):
                 out.append(anc)
             anc = anc.parent
-    out.sort(key=lambda n: t2.index[id(n)])
+    out.sort(key=lambda n: t2.index[n])
     return out
 
 
@@ -245,9 +233,7 @@ def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,
                 if key in groups:
                     groups[key][1].append(leaf)
         for key in sorted(groups):
-            leaves_b, leaves_a = groups[key]
-            leaves_b.sort(key=lambda n: t1.index[id(n)])
-            leaves_a.sort(key=lambda n: t2.index[id(n)])
+            leaves_b, leaves_a = groups[key]  # in preorder
             for leaf_b, leaf_a in zip(leaves_b[:MAX_SUBTREE_COMPARE],
                                       leaves_a[:MAX_SUBTREE_COMPARE]):
                 if mapping.add(leaf_b, leaf_a):
@@ -295,8 +281,8 @@ def project_mapping(tm: TreeMapping, g_before, g_after) -> list[tuple]:
     used_a: set[int] = set()
     pairs = []
     for ast_b, ast_a in tm.pairs:
-        fg_b = index_b.get(id(ast_b))
-        fg_a = index_a.get(id(ast_a))
+        fg_b = index_b.get(ast_b)
+        fg_a = index_a.get(ast_a)
         if fg_b is None or fg_a is None or fg_b.kind != fg_a.kind:
             continue
         if fg_b.id in used_b or fg_a.id in used_a:
@@ -308,9 +294,9 @@ def project_mapping(tm: TreeMapping, g_before, g_after) -> list[tuple]:
     return pairs
 
 
-def _origin_index(graph) -> dict[int, object]:
-    index: dict[int, object] = {}
+def _origin_index(graph) -> dict[AstNode, object]:
+    index: dict[AstNode, object] = {}
     for node in graph.nodes:
         for origin in node.origins:
-            index.setdefault(id(origin), node)
+            index.setdefault(origin, node)
     return index

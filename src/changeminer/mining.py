@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 MAP = "Map"
 
@@ -145,18 +144,6 @@ class CorpusGraph:
             if self.nodes[b].subkind == "call" and self.nodes[a].subkind == "call"
         )
 
-    def has_edge(self, src: int, dst: int, kind: str, label: str) -> bool:
-        return (kind, label, "out", dst) in self._incident_sets[src]
-
-    def has_map(self, b: int, a: int) -> bool:
-        return (MAP, "", "out", a) in self._incident_sets[b]
-
-    @cached_property
-    def _incident_sets(self) -> dict[int, set[tuple[str, str, str, int]]]:
-        # Built on first use, not in __init__: only verify_instance and the
-        # test oracle ask, and load_corpus would pay for it on every graph.
-        return {nid: set(entries) for nid, entries in self.incident.items()}
-
 
 def load_corpus(store) -> list[CorpusGraph]:
     """Accepts a ChangeGraphStore or an iterable of record dicts."""
@@ -267,23 +254,6 @@ def _grown_template(pattern: PatternGraph, key, members: list[Instance],
                         frozenset(map_edges))
 
 
-def verify_instance(pattern: PatternGraph, graph: CorpusGraph,
-                    binding: tuple[int, ...]) -> bool:
-    """Label-preserving injective homomorphism check for one binding."""
-    if len(set(binding)) != len(binding) or len(binding) != pattern.size:
-        return False
-    for idx, concrete in enumerate(binding):
-        if concrete not in graph.nodes or graph.nodes[concrete] != pattern.nodes[idx]:
-            return False
-    for src, dst, kind, label in pattern.edges:
-        if not graph.has_edge(binding[src], binding[dst], kind, label):
-            return False
-    for b, a in pattern.map_edges:
-        if not graph.has_map(binding[b], binding[a]):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Canonical keys
 # ---------------------------------------------------------------------------
@@ -321,18 +291,6 @@ def _refine(tags: list[list[tuple[str, int]]], colors: list[int]) -> list[int]:
             break
         colors, classes = fresh, count
     return colors
-
-
-def refinement_colors(pattern: PatternGraph) -> list[int]:
-    """Stable per-node colours from iterative neighbourhood refinement.
-
-    A node starts as the rank of its signature among the pattern's sorted
-    distinct signatures. Each round it becomes the rank of its colour plus
-    the sorted (edge tag, neighbour colour) pairs around it, until the
-    number of colours stops growing. Colours do not depend on numbering.
-    """
-    return _refine(_adjacency_tags(pattern),
-                   _ranks([node.sig() for node in pattern.nodes]))
 
 
 def _twins(tags: list[list[tuple[str, int]]], u: int, v: int) -> bool:

@@ -72,7 +72,6 @@ class FgEdge:
 
 @dataclass
 class Fgpdg:
-    function: FunctionUnit
     nodes: list[FgNode]
     edges: list[FgEdge]
 
@@ -118,7 +117,7 @@ def build_fgpdg(unit: FunctionUnit, imports: ImportTable | None = None) -> Fgpdg
     for child in unit.body.children:
         if child.kind == "Block" and child.label == "body":
             builder.walk_block(child)
-    return builder.finish(unit)
+    return builder.finish()
 
 
 class _Builder:
@@ -379,7 +378,7 @@ class _Builder:
 
     # -- finalization ----------------------------------------------------------
 
-    def finish(self, unit: FunctionUnit) -> Fgpdg:
+    def finish(self) -> Fgpdg:
         degree: dict[int, int] = {}
         for edge in self.edges:
             degree[edge.src] = degree.get(edge.src, 0) + 1
@@ -395,4 +394,4 @@ class _Builder:
              if e.src in remap and e.dst in remap),
             key=lambda e: (e.src, e.dst, e.kind, e.label),
         )
-        return Fgpdg(unit, kept, edges)
+        return Fgpdg(kept, edges)

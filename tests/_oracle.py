@@ -4,7 +4,8 @@ Independent of the mining engine's shortcuts: breadth-first over templates,
 embeddings recomputed from scratch by backtracking, duplicates removed with a
 permutation-based isomorphism test, no extension caps and no budgets. Only
 the canonical-key function is shared, since key sets are the comparison
-surface.
+surface. It also holds ``verify_instance`` and ``refinement_colors``, which
+only the tests call.
 
 The second half is the function frontend as it was before units were built
 lazily from the raw ``ast``: it walks the whole normalized tree of a file
@@ -19,10 +20,49 @@ import ast
 from dataclasses import dataclass
 
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
-                                PatternRecord, TNode, canonical_key)
+                                PatternRecord, TNode, _adjacency_tags, _ranks,
+                                _refine, canonical_key)
 from changeminer.source import (_BINOP_SYMBOLS, _CMPOP_SYMBOLS,
                                 _UNARYOP_SYMBOLS, AstNode, ImportTable, Span,
                                 _finish, parse_module)
+
+
+def has_edge(graph: CorpusGraph, src: int, dst: int, kind: str,
+             label: str) -> bool:
+    return (kind, label, "out", dst) in graph.incident[src]
+
+
+def has_map(graph: CorpusGraph, b: int, a: int) -> bool:
+    return (MAP, "", "out", a) in graph.incident[b]
+
+
+def verify_instance(pattern: PatternGraph, graph: CorpusGraph,
+                    binding: tuple[int, ...]) -> bool:
+    """Label-preserving injective homomorphism check for one binding."""
+    if len(set(binding)) != len(binding) or len(binding) != pattern.size:
+        return False
+    for idx, concrete in enumerate(binding):
+        if concrete not in graph.nodes or graph.nodes[concrete] != pattern.nodes[idx]:
+            return False
+    for src, dst, kind, label in pattern.edges:
+        if not has_edge(graph, binding[src], binding[dst], kind, label):
+            return False
+    for b, a in pattern.map_edges:
+        if not has_map(graph, binding[b], binding[a]):
+            return False
+    return True
+
+
+def refinement_colors(pattern: PatternGraph) -> list[int]:
+    """Stable per-node colours from iterative neighbourhood refinement.
+
+    A node starts as the rank of its signature among the pattern's sorted
+    distinct signatures. Each round it becomes the rank of its colour plus
+    the sorted (edge tag, neighbour colour) pairs around it, until the
+    number of colours stops growing. Colours do not depend on numbering.
+    """
+    return _refine(_adjacency_tags(pattern),
+                   _ranks([node.sig() for node in pattern.nodes]))
 
 
 def _template_adjacency(t: PatternGraph) -> dict[int, set[int]]:
@@ -59,15 +99,15 @@ def embeddings(t: PatternGraph, graph: CorpusGraph) -> list[tuple[int, ...]]:
             return False
         for src, dst, kind, label in t.edges:
             if src == idx and dst in binding:
-                if not graph.has_edge(concrete, binding[dst], kind, label):
+                if not has_edge(graph, concrete, binding[dst], kind, label):
                     return False
             if dst == idx and src in binding:
-                if not graph.has_edge(binding[src], concrete, kind, label):
+                if not has_edge(graph, binding[src], concrete, kind, label):
                     return False
         for b, a in t.map_edges:
-            if b == idx and a in binding and not graph.has_map(concrete, binding[a]):
+            if b == idx and a in binding and not has_map(graph, concrete, binding[a]):
                 return False
-            if a == idx and b in binding and not graph.has_map(binding[b], concrete):
+            if a == idx and b in binding and not has_map(graph, binding[b], concrete):
                 return False
         return True
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -338,32 +339,36 @@ def test_parallel_mining_matches_serial(tmp_path, monkeypatch):
     commit_files(repo, {"mod.py": COPY_AFTER.replace("deepcopy", "copy")},
                  "shallow copy is enough")
     commit_files(repo, {"mod.py": COPY_AFTER}, "deepcopy again")
-    pools = []
-    workers = []
+    pools = []  # [max_workers, chunksize] of each pool
 
     class RecordingPool(ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
-            workers.append(max_workers)
+            pools.append([max_workers])
             super().__init__(max_workers, **kwargs)
 
-        def map(self, *args, **kwargs):
-            pools.append(self)
-            return super().map(*args, **kwargs)
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            pools[-1].append(chunksize)
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
     monkeypatch.setattr(history, "ProcessPoolExecutor", RecordingPool)
     serial = ChangeGraphStore(tmp_path / "serial")
-    parallel = ChangeGraphStore(tmp_path / "parallel")
     spec = RepoSpec(str(repo), "r1")
     info_s = mine_repository(spec, CommitFilter(), serial, jobs=1)
     assert pools == []
-    info_p = mine_repository(spec, CommitFilter(), parallel, jobs=4)
-    # three commit jobs: the pool starts no fourth worker
-    assert len(pools) == 1 and workers == [3]
     serial.finalize({}, {"r1": info_s})
-    parallel.finalize({}, {"r1": info_p})
-    assert info_s == info_p and info_s["graphs"] == 3
-    assert (serial.root / ChangeGraphStore.RECORDS).read_text() == \
-        (parallel.root / ChangeGraphStore.RECORDS).read_text()
+    assert info_s["graphs"] == 3
+    for jobs in (4, 2):
+        parallel = ChangeGraphStore(tmp_path / f"jobs{jobs}")
+        info_p = mine_repository(spec, CommitFilter(), parallel, jobs=jobs)
+        parallel.finalize({}, {"r1": info_p})
+        assert info_s == info_p
+        assert (serial.root / ChangeGraphStore.RECORDS).read_text() == \
+            (parallel.root / ChangeGraphStore.RECORDS).read_text()
+    # Three commit jobs: four requested jobs start three workers of one
+    # commit each, two start two workers of two commits and one.
+    assert pools == [[3, 1], [2, 2]]
+    for workers, chunksize in pools:  # one chunk per started worker
+        assert math.ceil(3 / chunksize) == workers
 
 
 def test_code_snippet_follows_the_parsers_lines(tmp_path):

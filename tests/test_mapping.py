@@ -61,6 +61,49 @@ def test_mapping_is_injective_and_kind_preserving():
     assert all(b.kind == a.kind for b, a in mapping.pairs)
 
 
+PINNED_BEFORE = """\
+def pick(items, key):
+    first = lookup(items, key)
+    if first is None:
+        return default(items)
+    result = [item.name for item in items if item.ok]
+    notify(key)
+    return result
+"""
+
+PINNED_AFTER = """\
+def pick(items, key):
+    notify(key)
+    first = lookup(items, key)
+    if first is None or key:
+        return default(items, key)
+    result = [item.name for item in items if item.ok]
+    notify(key)
+    return sorted(result)
+"""
+
+
+def test_pinned_pair_maps_to_the_recorded_pairs():
+    # Every phase adds pairs: top-down pairs the before side's `notify(key)`
+    # (preorder 31) with the nearer of the after side's two copies (38, not
+    # 5); Dice pairs the body block and the `default(...)` call; recovery
+    # pairs equal leaves; the `if` and the last `return` are each the sole
+    # unmatched child of their kind under the matched body.
+    unit_b, _ = build_unit(PINNED_BEFORE)
+    unit_a, _ = build_unit(PINNED_AFTER)
+    mapping = map_asts(unit_b.body, unit_a.body)
+    position_b = {node: i for i, node in enumerate(unit_b.body.preorder())}
+    position_a = {node: i for i, node in enumerate(unit_a.body.preorder())}
+    assert [(position_b[b], position_a[a]) for b, a in mapping.pairs] == [
+        (20, 27), (21, 28), (22, 29), (23, 30), (24, 31), (25, 32), (26, 33),
+        (27, 34), (28, 35), (29, 36), (30, 37), (31, 38), (32, 39), (33, 40),
+        (34, 41), (5, 9), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14),
+        (1, 1), (2, 2), (3, 3), (12, 17), (13, 18), (14, 19), (0, 0), (4, 4),
+        (18, 24), (19, 25), (36, 45), (11, 15), (35, 42), (17, 23), (16, 22),
+        (15, 21),
+    ]
+
+
 def _leaf(kind, label):
     return AstNode(kind, label)
 

@@ -12,12 +12,11 @@ from changeminer.history import ChangeGraphStore
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 TNode, canonical_key, collect_seeds,
                                 exact_isomorphic, extend, filter_cross_project,
-                                filter_maximal, load_corpus, mine,
-                                refinement_colors, support_of, verify_instance)
+                                filter_maximal, load_corpus, mine, support_of)
 from changeminer.mining import PatternRecord
 
 from _oracle import (brute_force_filter_maximal, brute_force_isomorphic,
-                     oracle_pattern_keys)
+                     oracle_pattern_keys, refinement_colors, verify_instance)
 from conftest import FIG2_AFTER, FIG2_BEFORE, change_record
 
 
