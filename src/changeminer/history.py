@@ -10,7 +10,6 @@ from __future__ import annotations
 import ast
 import json
 import logging
-import math
 import re
 import subprocess
 from collections import Counter
@@ -444,13 +443,11 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
     roots: set[str] = set()
     counts: Counter = Counter()
     if jobs > 1 and len(job_args) > 1:
-        # Each worker takes one contiguous run of commits, in history order.
-        # The pool forks all its workers at the first submit, so it gets one
-        # per run and no more.
-        run = math.ceil(len(job_args) / min(jobs, len(job_args)))
-        workers = math.ceil(len(job_args) / run)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_commit_job, job_args, chunksize=run))
+        # The pool forks all its workers at the first submit, so it gets no
+        # more than there are commits. Chunks of one commit let any idle worker
+        # take the next one.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
+            results = list(pool.map(_commit_job, job_args))
     else:
         results = [_commit_job(args) for args in job_args]
     for records, commit_warnings, commit_roots, commit_counts in results:

@@ -2,10 +2,13 @@
 
 Independent of the mining engine's shortcuts: breadth-first over templates,
 embeddings recomputed from scratch by backtracking, duplicates removed with a
-permutation-based isomorphism test, no extension caps and no budgets. Only
-the canonical-key function is shared, since key sets are the comparison
-surface. It also holds ``verify_instance`` and ``refinement_colors``, which
-only the tests call.
+permutation-based isomorphism test, no extension caps and no budgets. The
+enumerator shares only the canonical-key function, since key sets are the
+comparison surface. The module also holds helpers that only the tests call:
+``has_edge``, ``has_map`` and ``verify_instance`` read ``CorpusGraph.incident``
+lists, and ``refinement_colors`` is a convenience wrapper over the engine's
+own ``_refine``, ``_adjacency_tags`` and ``_ranks``, not an independent
+reference.
 
 The second half is the function frontend as it was before units were built
 lazily from the raw ``ast``: it walks the whole normalized tree of a file

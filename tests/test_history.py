@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import logging
-import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -364,11 +363,9 @@ def test_parallel_mining_matches_serial(tmp_path, monkeypatch):
         assert info_s == info_p
         assert (serial.root / ChangeGraphStore.RECORDS).read_text() == \
             (parallel.root / ChangeGraphStore.RECORDS).read_text()
-    # Three commit jobs: four requested jobs start three workers of one
-    # commit each, two start two workers of two commits and one.
-    assert pools == [[3, 1], [2, 2]]
-    for workers, chunksize in pools:  # one chunk per started worker
-        assert math.ceil(3 / chunksize) == workers
+    # Three commit jobs: four requested jobs start three workers, two start
+    # two, and both map in chunks of one commit, as many chunks as commits.
+    assert pools == [[3, 1], [2, 1]]
 
 
 def test_code_snippet_follows_the_parsers_lines(tmp_path):
