@@ -16,11 +16,11 @@ from .mining import (MiningConfig, PatternGraph, PatternRecord, PatternSet,
                      canonical_key, collect_seeds, exact_isomorphic, extend,
                      filter_cross_project, filter_maximal, mine)
 from .origins import Origin, StructuralCategory, call_origin, structural_category
-from .pdg import (FgEdge, FgNode, Fgpdg, UnsupportedConstruct, build_fgpdg,
-                  resolve_callee)
+from .pdg import FgEdge, FgNode, Fgpdg, build_fgpdg, resolve_callee
 from .report import export_graph, render_html, stats_report, write_pattern_set
-from .source import (AstNode, FunctionUnit, ImportTable, build_import_table,
-                     extract_functions, parse_module, parse_source)
+from .source import (AstNode, FunctionUnit, ImportTable, UnsupportedConstruct,
+                     build_import_table, extract_functions, parse_module,
+                     parse_source)
 
 __version__ = "0.1.0"
 

@@ -156,7 +156,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         return 1
 
     store = ChangeGraphStore(args.out)
-    store.clear()
     repos_info: dict[str, dict] = {}
     total = 0
     failures = []

@@ -1,8 +1,9 @@
 """Git history traversal: pair file revisions, match functions, stream change graphs.
 
-Commits are processed independently (optionally in parallel); the store is
-sorted on finalize by (repo_id, commit_hash, file_path, function) so output
-does not depend on worker count.
+Commits are processed independently (optionally in parallel). The store holds
+the records in memory and writes them once, on finalize, sorted by (repo_id,
+commit_hash, file_path, function), so output does not depend on worker count
+and an interrupted run leaves the previous store whole.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ from pathlib import Path
 from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
                           build_change_graph, hash_email)
 from .mapping import map_asts, project_mapping
-from .pdg import UnsupportedConstruct, build_fgpdg
-from .source import (FunctionUnit, ImportTable, build_import_table,
-                     extract_functions, parse_module, same_tree)
+from .pdg import build_fgpdg
+from .source import (FunctionUnit, ImportTable, UnsupportedConstruct,
+                     build_import_table, extract_functions, parse_module,
+                     same_tree)
 # Mining no longer calls parse_source, but the name stays importable from
 # here: perfbench/child.py wraps each layer where history looks it up, and
 # its table still lists history.parse_source.
@@ -229,8 +231,11 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
         try:
             module_b = parse_module(before_text)
             module_a = parse_module(after_text)
-        except SyntaxError as exc:
-            warnings.append(f"{commit.hash[:8]} {path}: parse failure ({exc.msg})")
+        except (SyntaxError, RecursionError, ValueError) as exc:
+            # ast.parse refuses a file too deep for it with RecursionError
+            # (3.11 on) and a NUL byte with ValueError (3.10).
+            reason = exc.msg if isinstance(exc, SyntaxError) else exc
+            warnings.append(f"{commit.hash[:8]} {path}: parse failure ({reason})")
             counts["parse_failures"] += 1
             continue
         imports_b = build_import_table(module_b)
@@ -244,13 +249,9 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
             try:
                 graph = change_graph_for_pair(unit_b, unit_a, imports_b,
                                               imports_a, prov, counts)
-            except (UnsupportedConstruct, RecursionError) as exc:
-                # The tree and graph layers recurse on the syntax tree, so a
-                # deeply nested expression is beyond them like a construct.
-                reason = ("unsupported: nesting too deep"
-                          if isinstance(exc, RecursionError) else exc)
+            except UnsupportedConstruct as exc:
                 warnings.append(f"{commit.hash[:8]} {path}: "
-                                f"{unit_b.qualified_name}: {reason}")
+                                f"{unit_b.qualified_name}: {exc}")
                 counts["unsupported"] += 1
                 continue
             if graph is not None:
@@ -310,7 +311,7 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
     Pairs that cannot differ (see ``unchanged_pair``) skip the graph layers
     and are counted under ``pairs_unchanged`` in ``counts`` when given.
     Raises UnsupportedConstruct for a changed pair that the dependence graph
-    builder cannot model.
+    builder cannot model or whose def nests deeper than ``MAX_NESTING``.
     """
     if unchanged_pair(unit_b, unit_a, imports_b, imports_a):
         if counts is not None:
@@ -363,7 +364,7 @@ def _stable_hash(*parts: str) -> str:
 
 
 class ChangeGraphStore:
-    """Line-delimited record store with a manifest, sorted on finalize."""
+    """Line-delimited record store with a manifest, written once on finalize."""
 
     RECORDS = "records.jsonl"
     MANIFEST = "manifest.json"
@@ -373,15 +374,13 @@ class ChangeGraphStore:
         self.root.mkdir(parents=True, exist_ok=True)
         self._records_path = self.root / self.RECORDS
         self._manifest_path = self.root / self.MANIFEST
-
-    def clear(self) -> None:
-        """Drop an earlier run's records and manifest; cloned repositories stay."""
-        self._records_path.unlink(missing_ok=True)
-        self._manifest_path.unlink(missing_ok=True)
+        self._pending: list[tuple[tuple[str, ...], str]] = []  # (sort key, line)
 
     def append(self, record: dict) -> None:
-        with open(self._records_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        """Hold a record, serialized, for ``finalize``; nothing is written yet."""
+        prov = record["provenance"]
+        key = (prov["repo_id"], prov["commit_hash"], prov["file_path"], prov["function"])
+        self._pending.append((key, json.dumps(record, sort_keys=True)))
 
     def iter_records(self):
         if not self._records_path.exists():
@@ -392,19 +391,16 @@ class ChangeGraphStore:
                     yield json.loads(line)
 
     def finalize(self, config: dict, repos: dict) -> None:
-        records = sorted(
-            self.iter_records(),
-            key=lambda r: (r["provenance"]["repo_id"], r["provenance"]["commit_hash"],
-                           r["provenance"]["file_path"], r["provenance"]["function"]),
-        )
+        """Replace the records and manifest with the held records, sorted."""
+        self._pending.sort(key=lambda item: item[0])
         with open(self._records_path, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+            for _, line in self._pending:
+                handle.write(line + "\n")
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": TOOL_VERSION,
             "config": config,
-            "record_count": len(records),
+            "record_count": len(self._pending),
             "repos": repos,
         }
         with open(self._manifest_path, "w", encoding="utf-8") as handle:

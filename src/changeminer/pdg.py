@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .source import AstNode, FunctionUnit, ImportTable, Span
+from .source import AstNode, FunctionUnit, ImportTable, Span, UnsupportedConstruct
 
 DATA, OPERATION, CONTROL = "Data", "Operation", "Control"
 
@@ -39,15 +39,6 @@ _NODE_RULES = {
 }
 _COMPREHENSION_LABELS = {"ListComp": "[]", "SetComp": "{}", "DictComp": "{:}",
                          "GenExp": "()"}
-
-
-class UnsupportedConstruct(Exception):
-    """Raised when the builder reaches syntax it cannot represent."""
-
-    def __init__(self, kind: str, span: Span):
-        super().__init__(f"unsupported construct {kind} at {span}")
-        self.kind = kind
-        self.span = span
 
 
 @dataclass(eq=False)
@@ -109,9 +100,11 @@ def _resolve_chain(node: AstNode, imports: ImportTable) -> str | None:
 def build_fgpdg(unit: FunctionUnit, imports: ImportTable | None = None) -> Fgpdg:
     """Build the dependence graph for one function unit.
 
-    This is the one check of what can be modelled: a ``yield`` or
+    This is the check of which constructs can be modelled: a ``yield`` or
     ``yield from`` (outside a lambda, whose body stays opaque), a ``finally``
-    block or a ``match`` statement raises UnsupportedConstruct.
+    block or a ``match`` statement raises UnsupportedConstruct. The one other
+    refusal, of a def nested deeper than ``source.MAX_NESTING`` levels, comes
+    from ``unit.body`` before the builder runs.
     """
     builder = _Builder(imports or ImportTable())
     for child in unit.body.children:

@@ -12,6 +12,11 @@ call keywords, ``**`` in dicts, comprehension clauses, annotations, with
 items, match cases, imports, constants) have a function instead. A class the
 table does not list becomes a node named after it, with every child node
 converted, so parsing stays total over rare or future grammar.
+
+A function unit converts its def only when it nests no deeper than
+``MAX_NESTING`` levels and raises ``UnsupportedConstruct`` otherwise, so
+whether a function is modelled does not depend on how deep the caller's
+stack already is. ``parse_source`` converts a whole file without that bound.
 """
 
 from __future__ import annotations
@@ -22,6 +27,13 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 Span = tuple[int, int, int, int]
+
+# Levels of the longest ast.iter_child_nodes chain of a def, the def itself
+# included, that a function unit converts. Conversion and the graph builder
+# recurse on the tree, at most about two frames per level, so 300 levels
+# leave room for a caller nearly 400 frames deep under the default recursion
+# limit of 1000.
+MAX_NESTING = 300
 
 _BINOP_SYMBOLS = {
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.FloorDiv: "//",
@@ -68,10 +80,37 @@ class AstNode:
 
 
 def same_tree(a: AstNode, b: AstNode) -> bool:
-    """Structural equality over kind/label/children (spans ignored)."""
-    if a.kind != b.kind or a.label != b.label or len(a.children) != len(b.children):
-        return False
-    return all(same_tree(x, y) for x, y in zip(a.children, b.children))
+    """Structural equality over kind/label/children (spans ignored).
+
+    A preorder with child counts determines its tree, so the two preorders
+    are compared position by position.
+    """
+    return all(x.kind == y.kind and x.label == y.label
+               and len(x.children) == len(y.children)
+               for x, y in zip(a.preorder(), b.preorder()))
+
+
+class UnsupportedConstruct(Exception):
+    """Raised for a function the graph layers do not model.
+
+    The frontend raises it for a def nested deeper than ``MAX_NESTING``
+    levels; the graph builder (``pdg``) for syntax it cannot represent.
+    """
+
+    def __init__(self, kind: str, span: Span):
+        super().__init__(f"unsupported construct {kind} at {span}")
+        self.kind = kind
+        self.span = span
+
+
+def _nesting(node: ast.AST) -> int:
+    """Levels of the longest ``ast.iter_child_nodes`` chain from ``node``."""
+    levels = 0
+    level = [node]
+    while level:
+        levels += 1
+        level = [child for parent in level for child in ast.iter_child_nodes(parent)]
+    return levels
 
 
 class FunctionUnit:
@@ -80,8 +119,10 @@ class FunctionUnit:
     A unit keeps its raw ``ast`` def and the lines of its file. The normalized
     ``body`` (nested defs reduced to stubs, so no tree node belongs to two
     units) and ``params`` are built from that def on first access,
-    so a unit that is never looked into is never converted. Whether a unit
-    can be modelled is decided by the graph builder (``pdg``), not here.
+    so a unit that is never looked into is never converted. A def nested
+    deeper than ``MAX_NESTING`` levels is measured, without recursion, and
+    refused there with ``UnsupportedConstruct("nesting", ...)``; every other
+    construct is decided by the graph builder (``pdg``).
     """
 
     def __init__(self, qualified_name: str,
@@ -92,6 +133,8 @@ class FunctionUnit:
 
     @cached_property
     def body(self) -> AstNode:
+        if _nesting(self.node) > MAX_NESTING:
+            raise UnsupportedConstruct("nesting", _span_of(self.node))
         def_node = _convert(self.node)
         _finish(def_node, def_node.span)
         return _prune_nested(def_node)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from changeminer import mining, source
 from changeminer.cli import main, read_config_file
 from changeminer.history import ChangeGraphStore
 from changeminer.report import load_pattern_dir
@@ -353,3 +354,16 @@ def test_readme_lists_every_flag(command, capsys):
     assert not missing, f"README's Command line section lacks {sorted(missing)}"
     stale = _flags(_usage_block(section, command)) - printed
     assert not stale, f"README's {command} usage lists unknown {sorted(stale)}"
+
+
+@pytest.mark.parametrize("module, name", [(source, "MAX_NESTING"),
+                                          (mining, "SEED_WORK_BOUND")])
+def test_readme_states_each_fixed_bound(module, name):
+    # README states a bound, thousands spaced, as "250 000 (`SEED_WORK_BOUND`"
+    # or as "`MAX_NESTING` (300)".
+    text = README.read_text(encoding="utf-8")
+    value = r"(\d+(?:\s\d{3})*)"
+    stated = {" ".join("".join(match).split()) for match in re.findall(
+        value + r"\s+\(`" + name + "`|`" + name + r"`\s+\(" + value + r"\)", text)}
+    assert stated == {f"{getattr(module, name):,}".replace(",", " ")}, \
+        f"README states {name} as {sorted(stated)}"

@@ -1,23 +1,29 @@
 from __future__ import annotations
 
+import ast
+import json
 import logging
 import os
+import subprocess
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from changeminer import history
 from changeminer.changegraph import Provenance
+from changeminer.cli import main as cli_main
 from changeminer.history import (ChangeGraphStore, CommitFilter, CommitInfo,
                                  RepoSpec, RepoUnavailable,
                                  change_graph_for_pair,
                                  list_commits, match_functions,
                                  mine_repository, module_path_for,
-                                 pair_modified_files, read_repos_file)
+                                 pair_modified_files, read_repos_file,
+                                 record_from_graph)
 from changeminer.pdg import UnsupportedConstruct
-from changeminer.source import (build_import_table, extract_functions,
-                                parse_module)
+from changeminer.source import (MAX_NESTING, _nesting, build_import_table,
+                                extract_functions, parse_module)
 
 from gitrepos import commit_files, git, init_repo, merge_branches
 
@@ -222,7 +228,141 @@ def test_too_deeply_nested_function_is_counted_unsupported(tmp_path, caplog):
     assert (info["function_pairs"], info["pairs_unchanged"], info["unsupported"],
             info["parse_failures"], info["graphs"]) == (2, 0, 1, 0, 1)
     [warning] = [r.getMessage() for r in caplog.records]
-    assert "mod.py: mod.deep: unsupported: nesting too deep" in warning
+    assert "mod.py: mod.deep: unsupported construct nesting at " in warning
+
+
+def _deep_def(shape: str, levels: int, edit: bool = False) -> str:
+    """``def f(a): return EXPR`` nested exactly ``levels`` levels deep.
+
+    The def is level 1 and the return level 2; each shape's expression ends in
+    a Name and its context node. ``edit`` changes the outermost operator or
+    name only, so the pair's tree matcher pairs the deep part top-down.
+    """
+    n = levels - 4
+    if shape == "sum":
+        expr = " + ".join(["a"] * n + ["c" if edit else "b"])
+    elif shape == "unary":
+        expr = ("+" if edit else "-") + "-" * (n - 1) + "a"
+    elif shape == "attribute":
+        expr = "a" + ".b" * (n - 1) + (".c" if edit else ".b")
+    elif shape == "subscript":
+        expr = "a" + "[0]" * (n - 1) + ("[1]" if edit else "[0]")
+    else:  # a method chain: each call and its attribute are one level each
+        links = [".b()"] * (n // 2) + [".b"] * (n % 2)
+        if edit:
+            links[-1] = links[-1].replace("b", "c")
+        expr = "a" + "".join(links)
+    return f"def f(a):\n    return {expr}\n"
+
+
+def _from_depth(frames: int, func):
+    return _from_depth(frames - 1, func) if frames else func()
+
+
+def _outcome(before: str, after: str):
+    unit_b, unit_a, imports_b, imports_a = _pair(before, after)
+    try:
+        graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
+    except UnsupportedConstruct as exc:
+        return exc.kind
+    return record_from_graph(graph)
+
+
+@pytest.mark.parametrize("shape", ["sum", "method", "subscript", "attribute",
+                                   "unary"])
+def test_nesting_bound_does_not_depend_on_the_callers_stack(shape):
+    for levels in (MAX_NESTING, MAX_NESTING + 1):
+        before, after = _deep_def(shape, levels), _deep_def(shape, levels, edit=True)
+        assert _nesting(parse_module(after).body[0]) == levels
+        direct = _outcome(before, after)
+        assert _from_depth(300, lambda: _outcome(before, after)) == direct
+        if levels == MAX_NESTING:
+            assert direct["changed"], shape
+        else:
+            assert direct == "nesting"
+
+
+def test_jobs_give_the_same_store_around_the_nesting_bound(tmp_path, monkeypatch):
+    repo = init_repo(tmp_path / "repo")
+    near = (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1)
+    commit_files(repo, {f"d{levels}.py": _deep_def("sum", levels) for levels in near}
+                 | {"sum.py": "def total(a):\n    return a\n"}, "initial")
+    commit_files(repo, {f"d{levels}.py": _deep_def("sum", levels, edit=True)
+                        for levels in near}, "edit the defs near the bound")
+    # One commit per sum; the statement alternates, so each pair differs at
+    # its second level and only the sum's depth can refuse it.
+    for terms in range(600, 1100, 10):
+        statement = "return " if terms % 20 else "x = "
+        commit_files(repo, {"sum.py": "def total(a):\n    " + statement
+                            + "a + " * (terms - 1) + "1\n"}, f"{terms} terms")
+    listing = tmp_path / "repos.txt"
+    listing.write_text(f"r1 {repo}\n")
+    pools = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(history, "ProcessPoolExecutor", RecordingPool)
+    stores = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        assert cli_main(["mine", "--repos", str(listing), "--out", str(out),
+                         "--jobs", str(jobs)]) == 0
+        stores.append([(out / name).read_bytes()
+                       for name in ("records.jsonl", "manifest.json")])
+    assert pools == [2]
+    assert stores[0] == stores[1]
+    info = json.loads(stores[0][1])["repos"]["r1"]
+    assert (info["graphs"], info["unsupported"]) == (2, 51)
+
+
+def test_files_the_parser_refuses_are_parse_failures(tmp_path, caplog):
+    deep = "def deep(a):\n    return " + "a + " * 20000 + "{}\n"
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"deep.py": deep.format(1),
+                        "mod.py": "def f():\n    return a(1)\n"}, "initial")
+    commit_files(repo, {"deep.py": deep.format(2),
+                        "mod.py": "def f():\n    return b(1)\n"}, "edit both")
+    try:
+        ast.parse(deep.format(2))
+        refused = False
+    except RecursionError:  # 3.11 on; 3.10 parses it
+        refused = True
+    with caplog.at_level(logging.WARNING, logger="changeminer.history"):
+        store, info = mine_into(tmp_path, repo)
+    assert [r["provenance"]["function"] for r in store.iter_records()] == ["mod.f"]
+    assert (info["parse_failures"], info["unsupported"]) == \
+        ((1, 0) if refused else (0, 1))
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert ("deep.py: parse failure (" if refused
+            else "deep.py: mod.deep: unsupported construct nesting") in warning
+
+
+_PYTHON_310 = sorted(Path.home().glob(".pyenv/versions/3.10.*/bin/python"))
+
+
+@pytest.mark.skipif(not _PYTHON_310, reason="needs a Python 3.10 install")
+def test_nul_byte_is_a_parse_failure_under_python_310(tmp_path):
+    # 3.10's ast.parse raises ValueError on a NUL byte; later ones SyntaxError.
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"nul.py": "def g():\n    return 1\n",
+                        "mod.py": "def f():\n    return a(1)\n"}, "initial")
+    commit_files(repo, {"nul.py": "def g():\n    return 1\0\n",
+                        "mod.py": "def f():\n    return b(1)\n"}, "edit both")
+    listing = tmp_path / "repos.txt"
+    listing.write_text(f"r1 {repo}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [str(_PYTHON_310[-1]), "-m", "changeminer", "mine", "--repos",
+         str(listing), "--out", str(tmp_path / "store")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert "nul.py: parse failure (source code string cannot contain null bytes)" \
+        in result.stderr
+    info = ChangeGraphStore(tmp_path / "store").manifest()["repos"]["r1"]
+    assert (info["parse_failures"], info["graphs"]) == (1, 1)
 
 
 def _pair(before: str, after: str):
