@@ -16,7 +16,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .history import (SCHEMA_VERSION, ChangeGraphStore, CommitFilter,
-                      RepoUnavailable, mine_repository, read_repos_file)
+                      RepoUnavailable, mine_repository, read_repos_file,
+                      repo_summary)
 from .mining import MiningConfig, load_corpus, mine
 from .origins import structural_category
 from .report import (export_graph, graph_from_dict, load_pattern_dir,
@@ -165,10 +166,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         except RepoUnavailable as exc:
             failures.append(spec.repo_id)
             log.warning("repository %s unavailable: %s", spec.repo_id, exc)
-            repos_info[spec.repo_id] = {
-                "url": spec.url_or_path, "domain_tag": spec.domain_tag,
-                "graphs": 0, "project_modules": [], "unavailable": True,
-            }
+            repos_info[spec.repo_id] = {**repo_summary(spec), "unavailable": True}
             continue
         repos_info[spec.repo_id] = info
         total += info["graphs"]

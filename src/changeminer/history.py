@@ -454,11 +454,17 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
         counts.update(commit_counts)
     for warning in warnings:
         log.warning("%s: %s", spec.repo_id, warning)
-    info = {
+    return repo_summary(spec, roots, len(warnings), counts)
+
+
+def repo_summary(spec: RepoSpec, roots: frozenset[str] | set[str] = frozenset(),
+                 warnings: int = 0, counts: Counter | None = None) -> dict:
+    """A repository's manifest entry; one that was not mined gets zeros."""
+    counts = counts or Counter()
+    return {
         "url": spec.url_or_path,
         "domain_tag": spec.domain_tag,
         "project_modules": sorted(roots),
-        "warnings": len(warnings),
+        "warnings": warnings,
+        **{name: counts[name] for name in REPO_COUNTERS},
     }
-    info.update((name, counts[name]) for name in REPO_COUNTERS)
-    return info

@@ -3,9 +3,10 @@
 Patterns start as mapped pairs of call nodes and grow one node at a time.
 A growth candidate is keyed by (attachment node, edge kind+label, direction,
 new node signature, version); it survives when enough instances across the
-corpus embed it. Grown templates absorb every edge between the new node and
-already-present nodes that all instances share, so one recurring change yields
-one template rather than one per spanning tree.
+corpus embed it. ``extend`` forms the groups in one pass over the instances
+that also finds the links every member's new node has to its binding; the
+grown template holds all of them, so one recurring change yields one template
+rather than one per spanning tree.
 
 Template identity is a canonical key from an exact canonical labelling by
 individualization-refinement: neighbourhood refinement to stable integer
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 MAP = "Map"
 
@@ -50,8 +52,7 @@ class MiningConfig:
             raise ValueError("max_size must be >= min_size")
 
 
-@dataclass(frozen=True, order=True)
-class TNode:
+class TNode(NamedTuple):
     """Template node signature: version tag plus abstracted node identity."""
 
     version: str
@@ -76,17 +77,16 @@ class PatternGraph:
         return len(self.nodes)
 
     def call_pair_indices(self) -> list[int]:
-        out: set[int] = set()
-        for b, a in self.map_edges:
-            if self.nodes[b].subkind == "call" and self.nodes[a].subkind == "call":
-                out.update((b, a))
-        return sorted(out)
+        return sorted({idx for pair in self.call_pairs() for idx in pair})
 
     def call_pairs(self) -> list[tuple[int, int]]:
-        return sorted(
-            (b, a) for b, a in self.map_edges
-            if self.nodes[b].subkind == "call" and self.nodes[a].subkind == "call"
-        )
+        return _call_pairs(self.nodes, self.map_edges)
+
+
+def _call_pairs(nodes, map_edges) -> list[tuple[int, int]]:
+    """The anchors of a graph: its map edges whose two ends are calls, sorted."""
+    return sorted((b, a) for b, a in map_edges
+                  if nodes[b].subkind == "call" and nodes[a].subkind == "call")
 
 
 Instance = tuple[str, tuple[int, ...]]  # (change graph id, binding by template index)
@@ -139,10 +139,7 @@ class CorpusGraph:
             self.incident[a].append((MAP, "", "in", b))
         for entries in self.incident.values():
             entries.sort()
-        self.map_call_pairs: list[tuple[int, int]] = sorted(
-            (b, a) for b, a in record["map_edges"]
-            if self.nodes[b].subkind == "call" and self.nodes[a].subkind == "call"
-        )
+        self.map_call_pairs = _call_pairs(self.nodes, record["map_edges"])
 
 
 def load_corpus(store) -> list[CorpusGraph]:
@@ -183,13 +180,16 @@ def collect_seeds(corpus: list[CorpusGraph], cfg: MiningConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
+def _anchor_keys(pattern: PatternGraph, instances: list[Instance]) -> list[tuple]:
+    """(graph, anchor nodes) of each instance; support counts distinct ones."""
+    anchor_idx = pattern.call_pair_indices()
+    return [(gid, frozenset(binding[i] for i in anchor_idx))
+            for gid, binding in instances]
+
+
 def support_of(pattern: PatternGraph, instances: list[Instance]) -> int:
     """Distinct (graph, anchor nodes) count; anchors are the mapped call pairs."""
-    anchor_idx = pattern.call_pair_indices()
-    seen = set()
-    for gid, binding in instances:
-        seen.add((gid, frozenset(binding[i] for i in anchor_idx)))
-    return len(seen)
+    return len(set(_anchor_keys(pattern, instances)))
 
 
 def _growth_key_string(key) -> str:
@@ -199,22 +199,37 @@ def _growth_key_string(key) -> str:
 
 def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
            cfg: MiningConfig) -> list[tuple[PatternGraph, list[Instance]]]:
-    """All surviving one-node growths, most frequent first."""
+    """All surviving one-node growths, most frequent first.
+
+    One pass reads the ``incident`` list of each bound node of each instance.
+    Each link to an unbound neighbour files the grown instance under its
+    growth key and joins the neighbour's link set as (attachment, kind, label,
+    direction seen from the attachment). Once the instance is read, each group
+    it joined keeps only the links it shares with that neighbour's full set.
+    """
     groups: dict[tuple, list[Instance]] = {}
+    shared: dict[tuple, set[tuple[int, str, str, str]]] = {}
     for gid, binding in instances:
         graph = corpus_index[gid]
         bound = set(binding)
+        links: dict[int, set[tuple[int, str, str, str]]] = {}
+        joined = []
         for attach, concrete in enumerate(binding):
             for rel_kind, rel_label, direction, other in graph.incident[concrete]:
                 if other in bound:
                     continue
+                links.setdefault(other, set()).add(
+                    (attach, rel_kind, rel_label, direction))
                 key = (attach, rel_kind, rel_label, direction, graph.nodes[other])
                 groups.setdefault(key, []).append((gid, binding + (other,)))
+                joined.append((key, other))
+        for key, other in joined:
+            own = links[other]
+            shared[key] = shared[key] & own if key in shared else own
 
     scored = []
-    new_idx = pattern.size
     for key, members in groups.items():
-        candidate = _grown_template(pattern, key, members, corpus_index, new_idx)
+        candidate = _grown_template(pattern, key[4], shared[key])
         support = support_of(candidate, members)
         if support >= cfg.min_freq:
             scored.append((-support, _growth_key_string(key), candidate, members))
@@ -222,35 +237,20 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
     return [(candidate, members) for _, _, candidate, members in scored]
 
 
-def _grown_template(pattern: PatternGraph, key, members: list[Instance],
-                    corpus_index: dict, new_idx: int) -> PatternGraph:
-    # Closure: keep each connection between the new node and an existing node
-    # only when every instance in the group exhibits it.
-    common: set[tuple[int, str, str, str]] | None = None
-    for gid, binding in members:
-        graph = corpus_index[gid]
-        position = {concrete: idx for idx, concrete in enumerate(binding[:-1])}
-        connections = {
-            (position[other], rel_kind, rel_label, direction)
-            for rel_kind, rel_label, direction, other in graph.incident[binding[-1]]
-            if other in position
-        }
-        common = connections if common is None else (common & connections)
-        if not common:
-            break
-
-    new_sig = key[4]
+def _grown_template(pattern: PatternGraph, sig: TNode,
+                    links: set[tuple[int, str, str, str]]) -> PatternGraph:
+    """``pattern`` plus a node ``sig`` joined to it by each of ``links``."""
+    new_idx = pattern.size
     edges = set(pattern.edges)
     map_edges = set(pattern.map_edges)
-    for idx, rel_kind, rel_label, direction in common or set():
+    for idx, rel_kind, rel_label, direction in links:
         if rel_kind == MAP:
-            pair = (new_idx, idx) if direction == "out" else (idx, new_idx)
-            map_edges.add(pair)
+            map_edges.add((idx, new_idx) if direction == "out" else (new_idx, idx))
         elif direction == "out":
-            edges.add((new_idx, idx, rel_kind, rel_label))
-        else:
             edges.add((idx, new_idx, rel_kind, rel_label))
-    return PatternGraph(pattern.nodes + (new_sig,), frozenset(edges),
+        else:
+            edges.add((new_idx, idx, rel_kind, rel_label))
+    return PatternGraph(pattern.nodes + (sig,), frozenset(edges),
                         frozenset(map_edges))
 
 
@@ -372,13 +372,11 @@ def universally_changed(instances: list[Instance], corpus_index: dict,
 
 def _dedup_instances(pattern: PatternGraph, instances: list[Instance]) -> list[Instance]:
     """One reported instance per (graph, anchor nodes), smallest binding first."""
-    anchor_idx = pattern.call_pair_indices()
+    ordered = sorted(instances)
     best: dict[tuple, Instance] = {}
-    for gid, binding in sorted(instances):
-        key = (gid, frozenset(binding[i] for i in anchor_idx))
-        if key not in best:
-            best[key] = (gid, binding)
-    return sorted(best.values())
+    for key, instance in zip(_anchor_keys(pattern, ordered), ordered):
+        best.setdefault(key, instance)
+    return list(best.values())
 
 
 def mine(corpus: list[CorpusGraph],

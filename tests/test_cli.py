@@ -8,7 +8,7 @@ import pytest
 
 from changeminer import mining, source
 from changeminer.cli import main, read_config_file
-from changeminer.history import ChangeGraphStore
+from changeminer.history import REPO_COUNTERS, ChangeGraphStore
 from changeminer.report import load_pattern_dir
 
 from gitrepos import commit_files, init_repo
@@ -77,6 +77,10 @@ def test_mine_with_unreachable_repo_warns_but_succeeds(tmp_path, small_repo, cap
     assert "bad" in captured.err
     manifest = json.loads((tmp_path / "store" / "manifest.json").read_text())
     assert manifest["repos"]["bad"]["unavailable"] is True
+    good, bad = manifest["repos"]["good"], manifest["repos"]["bad"]
+    assert set(bad) == set(good) | {"unavailable"}
+    assert {name: bad[name] for name in ("warnings", *REPO_COUNTERS)} == \
+        dict.fromkeys(("warnings", *REPO_COUNTERS), 0)
 
 
 def test_patterns_schema_mismatch_exits_one(tmp_path):

@@ -282,6 +282,25 @@ def test_nesting_bound_does_not_depend_on_the_callers_stack(shape):
             assert direct == "nesting"
 
 
+def test_a_file_near_the_parser_limit_is_mined_alike_from_any_caller_depth(tmp_path):
+    # Under 3.11 a flat sum of about 2 900 terms parsed from a shallow caller
+    # and was refused from one 300 frames deeper.
+    big = "x = " + "a + " * 2899 + "a\n"
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": big + "def f():\n    return a(1)\n"}, "initial")
+    commit_files(repo, {"mod.py": big + "def f():\n    return b(1)\n"}, "edit f")
+
+    def mine(name: str):
+        store, info = mine_into(tmp_path / name, repo)
+        return list(store.iter_records()), info
+
+    direct = mine("direct")
+    assert _from_depth(300, lambda: mine("deep")) == direct
+    records, info = direct
+    assert info["parse_failures"] == 0
+    assert [r["provenance"]["function"] for r in records] == ["mod.f"]
+
+
 def test_jobs_give_the_same_store_around_the_nesting_bound(tmp_path, monkeypatch):
     repo = init_repo(tmp_path / "repo")
     near = (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1)

@@ -152,6 +152,27 @@ def test_closure_includes_map_edge_between_added_receivers():
     assert len(graph.map_edges) == 2  # call pair plus receiver pair
 
 
+def test_closure_keeps_only_links_every_member_shares():
+    # In both graphs var 2 is the receiver of the before call; its second
+    # link, an argument edge, goes to the before call in g0 and to the after
+    # call in g1, so the grown template holds the receiver edge alone.
+    nodes = [("Operation", "call", "f", "Before"),
+             ("Operation", "call", "g", "After"),
+             ("Data", "var", "var", "Before")]
+    corpus = load_corpus([
+        synth_record("g0", "r0", nodes, [(2, 0, "Data", "recv"), (2, 0, "Data", "arg")],
+                     maps=[(0, 1)], changed={0}),
+        synth_record("g1", "r1", nodes, [(2, 0, "Data", "recv"), (2, 1, "Data", "arg")],
+                     maps=[(0, 1)], changed={0}),
+    ])
+    index = {g.id: g for g in corpus}
+    instances = [(g.id, (0, 1)) for g in corpus]
+    children = extend(seed_pattern("f", "g"), instances, index,
+                      MiningConfig(min_size=2, min_freq=2))
+    assert [(child.edges, members) for child, members in children] == [
+        (frozenset({(2, 0, "Data", "recv")}), [("g0", (0, 1, 2)), ("g1", (0, 1, 2))])]
+
+
 def test_pattern_at_max_size_not_extended():
     corpus = load_corpus([add_update_record(f"g{i}", f"r{i}") for i in range(3)])
     result = mine(corpus, MiningConfig(min_size=2, min_freq=3, max_size=2))

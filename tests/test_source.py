@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
-from changeminer.source import (_TABLE, build_import_table, extract_functions,
-                                parse_module, parse_source, same_tree)
+from changeminer.source import (_TABLE, UNPARSE_NESTING, build_import_table,
+                                extract_functions, parse_module, parse_source,
+                                same_tree)
 
 import _oracle
 from conftest import FIG2_BEFORE
+from test_history import _from_depth
 
 
 def test_minimal_assignment_shape():
@@ -481,3 +483,24 @@ _SETUPTOOLS_SAMPLE = _installed("setuptools-65.5.0", "setuptools", 15)
                     reason="needs pip 23.2.1 and setuptools 65.5.0")
 def test_conversion_matches_the_per_kind_converter_on_pip_and_setuptools():
     _assert_same_conversion(_PIP_SAMPLE + _SETUPTOOLS_SAMPLE)
+
+
+def _labels(attributes: int) -> list[str]:
+    chain = "a" + ".b" * attributes
+    source = (f"def f(x):\n    try:\n        pass\n    except {chain}:\n        pass\n"
+              f"    match x:\n        case {chain}:\n            pass\n")
+    unit = extract_functions(parse_module(source), "m")[0]
+    return [node.label for node in unit.body.preorder()
+            if node.kind in ("Except", "Case")]
+
+
+@pytest.mark.parametrize("attributes", [UNPARSE_NESTING - 3, UNPARSE_NESTING - 2,
+                                        250, 290])
+def test_except_and_case_labels_do_not_depend_on_the_callers_stack(attributes):
+    direct = _labels(attributes)
+    assert _from_depth(300, lambda: _labels(attributes)) == direct
+    # A chain of n attributes nests n + 2 levels (its Name and Load below);
+    # a case pattern adds one more (MatchValue above).
+    text = "a" + ".b" * attributes
+    assert direct == ["except:" + (text if attributes + 2 <= UNPARSE_NESTING else "?"),
+                      text if attributes + 3 <= UNPARSE_NESTING else "?"]
