@@ -4,14 +4,20 @@ Each tree is indexed once (``_TreeIndex``). Matching then runs in two
 phases: a greedy top-down pass that pairs maximal isomorphic subtrees,
 tallest first, then a bottom-up pass that pairs containers whose descendants
 already share enough matches (Dice coefficient), interleaved with a recovery
-pass that pairs remaining equal leaves under matched containers. The
-bottom-up/recovery pair iterates to a fixpoint because recovered leaves can
-unlock further container matches.
+pass that pairs remaining equal leaves under matched containers. Recovered
+leaves can unlock further container matches, so bottom-up runs again after
+each recovery pass that adds a pair.
+
+The matcher computes a set of pairs: ``TreeMapping.pairs`` lists them in an
+order that is fixed for given trees but means nothing. Apart from the roots,
+which are paired on kind alone, a leaf is paired only with a leaf of equal
+kind and label: top-down pairs equal subtrees node for node, recovery pairs
+the leaves of one (kind, label) group, and the other phases pair containers.
+``project_mapping`` relies on this.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .source import AstNode
@@ -62,18 +68,20 @@ class _TreeIndex:
 
     A node's subtree is ``order[index:end]`` and its descendants are
     ``order[index + 1:end]``, so "is a descendant of" is a range test on
-    preorder indices (as in GumTree). ``height`` is 1 at a leaf, the
-    ``fingerprint`` is a SHA-1 of kind, label and the children's
-    fingerprints, and ``by_height`` lists the nodes of each height in
-    preorder. Every height from 1 to the root's has nodes.
+    preorder indices (as in GumTree). ``height`` is 1 at a leaf and
+    ``by_height`` lists the nodes of each height in preorder; every height
+    from 1 to the root's has nodes. A ``fingerprint`` is the int that
+    ``interned``, a table the trees being compared share, assigns to the
+    node's kind, label and children's fingerprints: equal fingerprints mean
+    equal subtrees, exactly.
     """
 
-    def __init__(self, root: AstNode):
+    def __init__(self, root: AstNode, interned: dict[tuple, int]):
         self.order = list(root.preorder())
         self.index: dict[AstNode, int] = {}
         self.end: dict[AstNode, int] = {}
         self.height: dict[AstNode, int] = {}
-        self.fingerprint: dict[AstNode, str] = {}
+        self.fingerprint: dict[AstNode, int] = {}
         self.by_height: dict[int, list[AstNode]] = {}
         # Backwards through the preorder, so children come before parents.
         for i in range(len(self.order) - 1, -1, -1):
@@ -83,9 +91,9 @@ class _TreeIndex:
             self.index[node] = i
             self.end[node] = self.end[children[-1]] if children else i + 1
             self.height[node] = height
-            self.fingerprint[node] = hashlib.sha1("|".join(
-                [node.kind, node.label] + [self.fingerprint[c] for c in children]
-            ).encode()).hexdigest()
+            self.fingerprint[node] = interned.setdefault(
+                (node.kind, node.label, *(self.fingerprint[c] for c in children)),
+                len(interned))
             self.by_height.setdefault(height, []).append(node)
         for nodes in self.by_height.values():
             nodes.reverse()
@@ -102,8 +110,8 @@ def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
     ``t1`` and ``t2`` index trees that hold n1 and n2; without them, n1 and
     n2 are indexed as roots of their own trees.
     """
-    t1 = t1 if t1 is not None else _TreeIndex(n1)
-    t2 = t2 if t2 is not None else _TreeIndex(n2)
+    t1 = t1 if t1 is not None else _TreeIndex(n1, {})
+    t2 = t2 if t2 is not None else _TreeIndex(n2, {})
     first, end = t1.index[n1] + 1, t1.end[n1]
     d2 = t2.descendants(n2)
     mapped = 0
@@ -119,16 +127,19 @@ def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
 
 
 def map_asts(before: AstNode, after: AstNode) -> TreeMapping:
-    t1, t2 = _TreeIndex(before), _TreeIndex(after)
+    interned: dict[tuple, int] = {}
+    t1, t2 = _TreeIndex(before, interned), _TreeIndex(after, interned)
     mapping = TreeMapping()
     _match_top_down(t1, t2, mapping)
     if not mapping.has_before(before) and not mapping.has_after(after) \
             and before.kind == after.kind:
         mapping.add(before, after)
-    changed = True
-    while changed:
-        changed = _match_bottom_up(t1, t2, mapping)
-        changed = _recover_leaves(t1, t2, mapping) or changed
+    # A container's bottom-up outcome depends only on pairs whose before node
+    # lies below it, all made earlier in postorder; so once recovery adds
+    # nothing, another bottom-up pass would add nothing either.
+    _match_bottom_up(t1, t2, mapping)
+    while _recover_leaves(t1, t2, mapping):
+        _match_bottom_up(t1, t2, mapping)
     return mapping
 
 
@@ -136,10 +147,11 @@ def _match_top_down(t1: _TreeIndex, t2: _TreeIndex,
                     mapping: TreeMapping) -> None:
     # Only whole subtrees are paired here, tallest first, so every
     # descendant of a matched node is matched and each pairing below adds
-    # all the nodes of both subtrees.
+    # all the nodes of both subtrees. No node of height h lies below another,
+    # so the fingerprint groups of one height can go in any order.
     top = min(max(t1.by_height), max(t2.by_height))
     for h in range(top, MIN_HEIGHT - 1, -1):
-        by_fp: dict[str, tuple[list[AstNode], list[AstNode]]] = {}
+        by_fp: dict[int, tuple[list[AstNode], list[AstNode]]] = {}
         for node in t1.by_height[h]:
             if not mapping.has_before(node):
                 by_fp.setdefault(t1.fingerprint[node], ([], []))[0].append(node)
@@ -148,50 +160,34 @@ def _match_top_down(t1: _TreeIndex, t2: _TreeIndex,
                 fp = t2.fingerprint[node]
                 if fp in by_fp:
                     by_fp[fp][1].append(node)
-        for fp in sorted(by_fp):
-            candidates_b, candidates_a = by_fp[fp]
-            if not candidates_a:
-                continue
+        for candidates_b, candidates_a in by_fp.values():
+            # Only this loop pairs a node of the group, so ``candidates_a``
+            # holds the group's unmatched after nodes once the chosen go.
             for node_b in candidates_b:
-                best = None
-                compared = 0
-                for node_a in candidates_a:
-                    if mapping.has_after(node_a):
-                        continue
-                    compared += 1
-                    if compared > MAX_SUBTREE_COMPARE:
-                        break
-                    distance = abs(t1.index[node_b] - t2.index[node_a])
-                    if best is None or distance < best[0]:
-                        best = (distance, node_a)
-                if best is not None:
-                    # Equal fingerprints, equal shapes: pair node for node.
-                    node_a = best[1]
-                    for pair in zip(t1.order[t1.index[node_b]:t1.end[node_b]],
-                                    t2.order[t2.index[node_a]:t2.end[node_a]]):
-                        mapping.add(*pair)
+                if not candidates_a:
+                    break
+                node_a = min(candidates_a[:MAX_SUBTREE_COMPARE],
+                             key=lambda n: abs(t1.index[node_b] - t2.index[n]))
+                candidates_a.remove(node_a)
+                # Equal fingerprints, equal shapes: pair node for node.
+                for pair in zip(t1.order[t1.index[node_b]:t1.end[node_b]],
+                                t2.order[t2.index[node_a]:t2.end[node_a]]):
+                    mapping.add(*pair)
 
 
 def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
-                     mapping: TreeMapping) -> bool:
-    added = False
+                     mapping: TreeMapping) -> None:
     for node_b in reversed(t1.order):  # children before parents
         if node_b.is_leaf() or mapping.has_before(node_b):
             continue
-        candidates = _container_candidates(node_b, t1, t2, mapping)
-        best = None
-        for node_a in candidates:
+        ranked = []
+        for node_a in _container_candidates(node_b, t1, t2, mapping):
             score = dice(node_b, node_a, mapping, t1, t2)
-            if score < DICE_THRESHOLD:
-                continue
-            distance = abs(t1.index[node_b] - t2.index[node_a])
-            rank = (-score, distance, t2.index[node_a])
-            if best is None or rank < best[0]:
-                best = (rank, node_a)
-        if best is not None:
-            mapping.add(node_b, best[1])
-            added = True
-    return added
+            if score >= DICE_THRESHOLD:
+                distance = abs(t1.index[node_b] - t2.index[node_a])
+                ranked.append((-score, distance, t2.index[node_a], node_a))
+        if ranked:  # preorder indices differ, so no two ranks tie
+            mapping.add(node_b, min(ranked)[3])
 
 
 def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
@@ -211,13 +207,16 @@ def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
             if anc.kind == node_b.kind and not mapping.has_after(anc):
                 out.append(anc)
             anc = anc.parent
-    out.sort(key=lambda n: t2.index[n])
     return out
 
 
 def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,
                     mapping: TreeMapping) -> bool:
-    added = False
+    """Pair equal leaves and sole children under matched containers.
+
+    Returns whether a pair was added.
+    """
+    size = len(mapping)
     # Innermost containers claim their leaves first (postorder of before tree).
     for container_b in reversed(t1.order):
         container_a = mapping.after_of(container_b)
@@ -232,19 +231,16 @@ def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,
                 key = (leaf.kind, leaf.label)
                 if key in groups:
                     groups[key][1].append(leaf)
-        for key in sorted(groups):
-            leaves_b, leaves_a = groups[key]  # in preorder
+        for leaves_b, leaves_a in groups.values():  # disjoint, in preorder
             for leaf_b, leaf_a in zip(leaves_b[:MAX_SUBTREE_COMPARE],
                                       leaves_a[:MAX_SUBTREE_COMPARE]):
-                if mapping.add(leaf_b, leaf_a):
-                    added = True
-        if _pair_unique_children(container_b, container_a, mapping):
-            added = True
-    return added
+                mapping.add(leaf_b, leaf_a)
+        _pair_unique_children(container_b, container_a, mapping)
+    return len(mapping) > size
 
 
 def _pair_unique_children(container_b: AstNode, container_a: AstNode,
-                          mapping: TreeMapping) -> bool:
+                          mapping: TreeMapping) -> None:
     """Pair the sole unmatched internal child of one kind on each side.
 
     Unambiguous container alignment under an already matched parent; it is
@@ -260,20 +256,23 @@ def _pair_unique_children(container_b: AstNode, container_a: AstNode,
 
     open_b = open_children(container_b, mapping.has_before)
     open_a = open_children(container_a, mapping.has_after)
-    added = False
-    for kind in sorted(set(open_b) & set(open_a)):
-        if len(open_b[kind]) == 1 and len(open_a[kind]) == 1:
-            if mapping.add(open_b[kind][0], open_a[kind][0]):
-                added = True
-    return added
+    for kind, children_b in open_b.items():
+        children_a = open_a.get(kind, ())
+        if len(children_b) == 1 and len(children_a) == 1:
+            mapping.add(children_b[0], children_a[0])
 
 
 def project_mapping(tm: TreeMapping, g_before, g_after) -> list[tuple]:
     """Project an AST mapping onto two dependence graphs.
 
     A graph-node pair is mapped when any of their generating syntax nodes are
-    mapped and the node kinds agree; the result stays injective (the earliest
-    matched pair wins).
+    mapped and the node kinds agree. For a mapping made by ``map_asts`` each
+    graph node has at most one partner, so the result does not depend on the
+    order of ``tm.pairs``: a node other than a variable has one syntax origin,
+    which has at most one partner; a variable's origins are ``Name`` leaves,
+    each paired only with a ``Name`` leaf of the same label, which is an
+    origin of the one variable of that name. ``used_b`` and ``used_a`` keep
+    the result injective for a hand-built mapping as well.
     """
     index_b = _origin_index(g_before)
     index_a = _origin_index(g_after)

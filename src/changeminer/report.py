@@ -219,7 +219,10 @@ mark { background: #ffe08a; }
 
 
 def _highlight(code: dict, spans: list) -> str:
-    """HTML for a code block with file-coordinate spans wrapped in <mark>."""
+    """HTML for a code block with file-coordinate spans wrapped in <mark>.
+
+    A span's columns count UTF-8 bytes of its line, as ``ast`` does.
+    """
     text = code.get("text", "")
     start_line = code.get("start_line", 1)
     lines = text.split("\n")
@@ -233,7 +236,8 @@ def _highlight(code: dict, spans: list) -> str:
         idx = line - start_line
         if idx < 0 or idx >= len(lines):
             return None
-        return offsets[idx] + min(col, len(lines[idx]))
+        prefix = lines[idx].encode("utf-8")[:col].decode("utf-8", errors="ignore")
+        return offsets[idx] + len(prefix)
 
     intervals = []
     for s_line, s_col, e_line, e_col in spans:

@@ -361,6 +361,7 @@ def test_readme_lists_every_flag(command, capsys):
 
 
 @pytest.mark.parametrize("module, name", [(source, "MAX_NESTING"),
+                                          (source, "UNPARSE_NESTING"),
                                           (mining, "SEED_WORK_BOUND")])
 def test_readme_states_each_fixed_bound(module, name):
     # README states a bound, thousands spaced, as "250 000 (`SEED_WORK_BOUND`"

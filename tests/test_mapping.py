@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import random
+
+import pytest
 from hypothesis import given, strategies as st
 
-from changeminer.mapping import TreeMapping, dice, map_asts
+from changeminer.mapping import (TreeMapping, _match_bottom_up, _match_top_down,
+                                 _recover_leaves, _TreeIndex, dice, map_asts,
+                                 project_mapping)
+from changeminer.pdg import build_fgpdg
 from changeminer.source import AstNode, parse_source
 
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit
@@ -96,12 +102,31 @@ def test_pinned_pair_maps_to_the_recorded_pairs():
     position_a = {node: i for i, node in enumerate(unit_a.body.preorder())}
     assert [(position_b[b], position_a[a]) for b, a in mapping.pairs] == [
         (20, 27), (21, 28), (22, 29), (23, 30), (24, 31), (25, 32), (26, 33),
-        (27, 34), (28, 35), (29, 36), (30, 37), (31, 38), (32, 39), (33, 40),
-        (34, 41), (5, 9), (6, 10), (7, 11), (8, 12), (9, 13), (10, 14),
+        (27, 34), (28, 35), (29, 36), (30, 37), (5, 9), (6, 10), (7, 11),
+        (8, 12), (9, 13), (10, 14), (31, 38), (32, 39), (33, 40), (34, 41),
         (1, 1), (2, 2), (3, 3), (12, 17), (13, 18), (14, 19), (0, 0), (4, 4),
         (18, 24), (19, 25), (36, 45), (11, 15), (35, 42), (17, 23), (16, 22),
         (15, 21),
     ]
+
+
+@pytest.mark.parametrize("before, after", [(FIG2_BEFORE, FIG2_AFTER),
+                                           (PINNED_BEFORE, PINNED_AFTER)],
+                         ids=["fig2", "pinned"])
+def test_projection_does_not_depend_on_the_order_of_pairs(before, after):
+    (unit_b, imports_b), (unit_a, imports_a) = build_unit(before), build_unit(after)
+    g_b, g_a = build_fgpdg(unit_b, imports_b), build_fgpdg(unit_a, imports_a)
+    mapping = map_asts(unit_b.body, unit_a.body)
+    expected = project_mapping(mapping, g_b, g_a)
+    assert expected
+    rng = random.Random(0)
+    for _ in range(20):
+        pairs = list(mapping.pairs)
+        rng.shuffle(pairs)
+        shuffled = TreeMapping()
+        for pair in pairs:
+            shuffled.add(*pair)
+        assert project_mapping(shuffled, g_b, g_a) == expected
 
 
 def _leaf(kind, label):
@@ -176,3 +201,26 @@ def test_random_pairs_stay_injective(spec1, spec2):
     assert len({id(b) for b, _ in mapping.pairs}) == len(mapping.pairs)
     assert len({id(a) for _, a in mapping.pairs}) == len(mapping.pairs)
     assert all(b.kind == a.kind for b, a in mapping.pairs)
+    # Below the roots, which are paired on kind alone, leaves pair with
+    # leaves of equal kind and label.
+    below_roots = [(b, a) for b, a in mapping.pairs if not (b is t1 and a is t2)]
+    assert all(b.is_leaf() == a.is_leaf() for b, a in below_roots)
+    assert all(b.label == a.label for b, a in below_roots if b.is_leaf())
+
+
+@given(_tree_strategy, _tree_strategy)
+def test_matching_stops_where_the_loop_over_both_phases_does(spec1, spec2):
+    t1, t2 = _tree(spec1), _tree(spec2)
+    interned: dict = {}
+    i1, i2 = _TreeIndex(t1, interned), _TreeIndex(t2, interned)
+    reference = TreeMapping()
+    _match_top_down(i1, i2, reference)
+    if not reference.has_before(t1) and not reference.has_after(t2) \
+            and t1.kind == t2.kind:
+        reference.add(t1, t2)
+    size = None
+    while size != len(reference):
+        size = len(reference)
+        _match_bottom_up(i1, i2, reference)
+        _recover_leaves(i1, i2, reference)
+    assert map_asts(t1, t2).pairs == reference.pairs

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 
 from changeminer.history import ChangeGraphStore
@@ -122,6 +123,16 @@ def test_highlight_spans_multiline_statement():
     rendered = _highlight(code, spans)
     assert rendered.startswith("<pre>value = ")
     assert "<mark>compute(\n    first,\n    second,\n)</mark>" in rendered
+
+
+def test_highlight_reads_columns_as_utf8_bytes():
+    from changeminer.report import _highlight
+    text = 'def f(s):\n    return "é" + g(s)'
+    call = next(node for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Call))
+    spans = [[call.lineno, call.col_offset, call.end_lineno, call.end_col_offset]]
+    rendered = _highlight({"text": text, "start_line": 1}, spans)
+    assert '+ <mark>g(s)</mark></pre>' in rendered
 
 
 def test_stats_tables(tmp_path):
