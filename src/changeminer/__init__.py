@@ -11,7 +11,7 @@ from .changegraph import (ChangeGraph, Provenance, build_change_graph,
 from .history import (ChangeGraphStore, CommitFilter, RepoSpec,
                       RepoUnavailable, change_graph_for_pair, mine_repository,
                       read_repos_file)
-from .mapping import TreeMapping, dice, map_asts, project_mapping
+from .mapping import TreeMapping, map_asts, project_mapping
 from .mining import (MiningConfig, PatternGraph, PatternRecord, PatternSet,
                      canonical_key, collect_seeds, exact_isomorphic, extend,
                      filter_cross_project, filter_maximal, mine)
@@ -31,7 +31,7 @@ __all__ = [
     "RepoSpec", "RepoUnavailable", "StructuralCategory",
     "TreeMapping", "UnsupportedConstruct", "build_change_graph",
     "build_fgpdg", "build_import_table", "call_origin", "canonical_key",
-    "change_graph_for_pair", "collect_seeds", "dice", "exact_isomorphic",
+    "change_graph_for_pair", "collect_seeds", "exact_isomorphic",
     "export_graph", "extend", "extract_functions", "filter_cross_project",
     "filter_maximal", "map_asts", "mark_changed", "mine", "mine_repository",
     "parse_module", "parse_source", "project_mapping", "read_repos_file",

@@ -8,6 +8,13 @@ pass that pairs remaining equal leaves under matched containers. Recovered
 leaves can unlock further container matches, so bottom-up runs again after
 each recovery pass that adds a pair.
 
+Bottom-up scores each unmatched container in one pass over its descendants.
+The pass collects the sorted after-tree preorder indices of their partners
+and, as candidates, the unmatched same-kind ancestors of those partners. A
+candidate's descendants are a range of preorder indices, so the pairs below
+both containers are counted by two bisections of the sorted indices, and
+the Dice coefficient is twice that count over the two descendant counts.
+
 The matcher computes a set of pairs: ``TreeMapping.pairs`` lists them in an
 order that is fixed for given trees but means nothing. Apart from the roots,
 which are paired on kind alone, a leaf is paired only with a leaf of equal
@@ -18,6 +25,7 @@ the leaves of one (kind, label) group, and the other phases pair containers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .source import AstNode
@@ -35,14 +43,17 @@ MAX_SUBTREE_COMPARE = 100
 class TreeMapping:
     """Injective pairing of before-tree nodes to after-tree nodes."""
 
-    pairs: list[tuple[AstNode, AstNode]] = field(default_factory=list)
     _fwd: dict[AstNode, AstNode] = field(default_factory=dict, repr=False)
     _bwd: dict[AstNode, AstNode] = field(default_factory=dict, repr=False)
+
+    @property
+    def pairs(self) -> list[tuple[AstNode, AstNode]]:
+        """The (before, after) pairs, in the order they were added."""
+        return list(self._fwd.items())
 
     def add(self, before: AstNode, after: AstNode) -> bool:
         if before in self._fwd or after in self._bwd:
             return False
-        self.pairs.append((before, after))
         self._fwd[before] = after
         self._bwd[after] = before
         return True
@@ -60,7 +71,7 @@ class TreeMapping:
         return self._bwd.get(node)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._fwd)
 
 
 class _TreeIndex:
@@ -101,29 +112,6 @@ class _TreeIndex:
     def descendants(self, node: AstNode) -> list[AstNode]:
         """The proper descendants of ``node``, in preorder."""
         return self.order[self.index[node] + 1:self.end[node]]
-
-
-def dice(n1: AstNode, n2: AstNode, partial: TreeMapping,
-         t1: _TreeIndex | None = None, t2: _TreeIndex | None = None) -> float:
-    """Descendant-overlap ratio: 2*|mapped pairs under (n1, n2)| / (|d1|+|d2|).
-
-    ``t1`` and ``t2`` index trees that hold n1 and n2; without them, n1 and
-    n2 are indexed as roots of their own trees.
-    """
-    t1 = t1 if t1 is not None else _TreeIndex(n1, {})
-    t2 = t2 if t2 is not None else _TreeIndex(n2, {})
-    first, end = t1.index[n1] + 1, t1.end[n1]
-    d2 = t2.descendants(n2)
-    mapped = 0
-    for n in d2:
-        counterpart = partial.before_of(n)
-        if counterpart is not None and \
-                first <= t1.index.get(counterpart, -1) < end:
-            mapped += 1
-    denom = (end - first) + len(d2)
-    if denom == 0:
-        return 0.0
-    return 2.0 * mapped / denom
 
 
 def map_asts(before: AstNode, after: AstNode) -> TreeMapping:
@@ -180,34 +168,33 @@ def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
     for node_b in reversed(t1.order):  # children before parents
         if node_b.is_leaf() or mapping.has_before(node_b):
             continue
+        partners: list[int] = []
+        candidates: list[AstNode] = []
+        seen: set[AstNode] = set()
+        for desc in t1.descendants(node_b):
+            partner = mapping.after_of(desc)
+            if partner is None:
+                continue
+            partners.append(t2.index[partner])
+            anc = partner.parent
+            while anc is not None and anc not in seen:
+                seen.add(anc)
+                if anc.kind == node_b.kind and not mapping.has_after(anc):
+                    candidates.append(anc)
+                anc = anc.parent
+        partners.sort()
+        size_b = t1.end[node_b] - t1.index[node_b] - 1
         ranked = []
-        for node_a in _container_candidates(node_b, t1, t2, mapping):
-            score = dice(node_b, node_a, mapping, t1, t2)
+        for node_a in candidates:
+            first, end = t2.index[node_a] + 1, t2.end[node_a]
+            # Dice: 2 * |mapped pairs below both| / (|desc b| + |desc a|).
+            mapped = bisect_left(partners, end) - bisect_left(partners, first)
+            score = 2.0 * mapped / (size_b + end - first)
             if score >= DICE_THRESHOLD:
                 distance = abs(t1.index[node_b] - t2.index[node_a])
                 ranked.append((-score, distance, t2.index[node_a], node_a))
         if ranked:  # preorder indices differ, so no two ranks tie
             mapping.add(node_b, min(ranked)[3])
-
-
-def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
-                          mapping: TreeMapping) -> list[AstNode]:
-    """Unmatched same-kind ancestors of the counterparts of mapped descendants."""
-    seen: set[AstNode] = set()
-    out: list[AstNode] = []
-    for desc in t1.descendants(node_b):
-        counterpart = mapping.after_of(desc)
-        if counterpart is None:
-            continue
-        anc = counterpart.parent
-        while anc is not None:
-            if anc in seen:
-                break
-            seen.add(anc)
-            if anc.kind == node_b.kind and not mapping.has_after(anc):
-                out.append(anc)
-            anc = anc.parent
-    return out
 
 
 def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,

@@ -14,7 +14,10 @@ The second half is the function frontend as it was before units were built
 lazily from the raw ``ast``: it walks the whole normalized tree of a file
 (``parse_source``) and copies every def eagerly. The third is the ``ast`` to
 normalized-tree converter as it was before it became one table: a function
-per syntax kind.
+per syntax kind. The fourth is the tree matcher's bottom-up phase as it was
+before it scored each container in one pass: ``dice`` rescans a candidate's
+descendants for every candidate, and ``reference_map_asts`` runs the
+engine's other phases around it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from changeminer.mapping import (DICE_THRESHOLD, TreeMapping,
+                                 _match_top_down, _recover_leaves, _TreeIndex)
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 PatternRecord, TNode, _adjacency_tags, _ranks,
                                 _refine, canonical_key)
@@ -859,3 +864,75 @@ _HANDLERS = {
     "Global": _convert_names_stmt("Global"),
     "Nonlocal": _convert_names_stmt("Nonlocal"),
 }
+
+
+# ---------------------------------------------------------------------------
+# Rescanning bottom-up matcher
+# ---------------------------------------------------------------------------
+
+
+def dice(n1: AstNode, n2: AstNode, partial: TreeMapping, t1: _TreeIndex,
+         t2: _TreeIndex) -> float:
+    """Descendant-overlap ratio: 2*|mapped pairs under (n1, n2)| / (|d1|+|d2|)."""
+    first, end = t1.index[n1] + 1, t1.end[n1]
+    d2 = t2.descendants(n2)
+    mapped = 0
+    for n in d2:
+        counterpart = partial.before_of(n)
+        if counterpart is not None and \
+                first <= t1.index.get(counterpart, -1) < end:
+            mapped += 1
+    denom = (end - first) + len(d2)
+    if denom == 0:
+        return 0.0
+    return 2.0 * mapped / denom
+
+
+def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
+                          mapping: TreeMapping) -> list[AstNode]:
+    """Unmatched same-kind ancestors of the counterparts of mapped descendants."""
+    seen: set[AstNode] = set()
+    out: list[AstNode] = []
+    for desc in t1.descendants(node_b):
+        counterpart = mapping.after_of(desc)
+        if counterpart is None:
+            continue
+        anc = counterpart.parent
+        while anc is not None:
+            if anc in seen:
+                break
+            seen.add(anc)
+            if anc.kind == node_b.kind and not mapping.has_after(anc):
+                out.append(anc)
+            anc = anc.parent
+    return out
+
+
+def reference_match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
+                              mapping: TreeMapping) -> None:
+    for node_b in reversed(t1.order):  # children before parents
+        if node_b.is_leaf() or mapping.has_before(node_b):
+            continue
+        ranked = []
+        for node_a in _container_candidates(node_b, t1, t2, mapping):
+            score = dice(node_b, node_a, mapping, t1, t2)
+            if score >= DICE_THRESHOLD:
+                distance = abs(t1.index[node_b] - t2.index[node_a])
+                ranked.append((-score, distance, t2.index[node_a], node_a))
+        if ranked:
+            mapping.add(node_b, min(ranked)[3])
+
+
+def reference_map_asts(before: AstNode, after: AstNode) -> TreeMapping:
+    """``map_asts`` with ``reference_match_bottom_up`` as its bottom-up phase."""
+    interned: dict[tuple, int] = {}
+    t1, t2 = _TreeIndex(before, interned), _TreeIndex(after, interned)
+    mapping = TreeMapping()
+    _match_top_down(t1, t2, mapping)
+    if not mapping.has_before(before) and not mapping.has_after(after) \
+            and before.kind == after.kind:
+        mapping.add(before, after)
+    reference_match_bottom_up(t1, t2, mapping)
+    while _recover_leaves(t1, t2, mapping):
+        reference_match_bottom_up(t1, t2, mapping)
+    return mapping

@@ -12,6 +12,7 @@ from changeminer.mapping import map_asts, project_mapping
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
 from changeminer.source import build_import_table, extract_functions, parse_module
 
+from _oracle import reference_map_asts
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for
 
 _PROV = Provenance("repo", "c1", "c0", "a.py", "m.f", "x", "")
@@ -187,3 +188,31 @@ def test_unchanged_pair_skip_is_exact_on_stdlib_revisions():
             assert build_change_graph(*layers, _PROV) is None, \
                 f"{name}: {unit_b.qualified_name}"
     assert skipped > 100 and by_text > 100
+
+
+@pytest.mark.skipif(not (_OLD_STDLIB.is_dir() and _NEW_STDLIB.is_dir()),
+                    reason="needs the 3.11.7 and 3.12.1 standard libraries")
+def test_bottom_up_matches_the_rescanning_reference_on_stdlib_revisions():
+    # The first ten modules whose text differs between the two revisions.
+    names = sorted(p.name for p in _OLD_STDLIB.glob("*.py")
+                   if (_NEW_STDLIB / p.name).is_file()
+                   and p.read_bytes() != (_NEW_STDLIB / p.name).read_bytes())[:10]
+    compared = 0
+    for name in names:
+        try:
+            units_b, imports_b = _units_of(_OLD_STDLIB / name)
+            units_a, imports_a = _units_of(_NEW_STDLIB / name)
+        except SyntaxError:
+            continue
+        for unit_b, unit_a in match_functions(units_b, units_a):
+            if unchanged_pair(unit_b, unit_a, imports_b, imports_a):
+                continue
+            try:
+                body_b, body_a = unit_b.body, unit_a.body
+            except UnsupportedConstruct:
+                continue
+            compared += 1
+            assert map_asts(body_b, body_a).pairs == \
+                reference_map_asts(body_b, body_a).pairs, \
+                f"{name}: {unit_b.qualified_name}"
+    assert compared > 30

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from changeminer import mining, source
+from changeminer import mapping, mining, source
 from changeminer.cli import main, read_config_file
 from changeminer.history import REPO_COUNTERS, ChangeGraphStore
 from changeminer.report import load_pattern_dir
@@ -362,7 +362,9 @@ def test_readme_lists_every_flag(command, capsys):
 
 @pytest.mark.parametrize("module, name", [(source, "MAX_NESTING"),
                                           (source, "UNPARSE_NESTING"),
-                                          (mining, "SEED_WORK_BOUND")])
+                                          (mining, "SEED_WORK_BOUND"),
+                                          (mapping, "MIN_HEIGHT"),
+                                          (mapping, "MAX_SUBTREE_COMPARE")])
 def test_readme_states_each_fixed_bound(module, name):
     # README states a bound, thousands spaced, as "250 000 (`SEED_WORK_BOUND`"
     # or as "`MAX_NESTING` (300)".

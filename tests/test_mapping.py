@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from changeminer.mapping import (TreeMapping, _match_bottom_up, _match_top_down,
-                                 _recover_leaves, _TreeIndex, dice, map_asts,
+                                 _recover_leaves, _TreeIndex, map_asts,
                                  project_mapping)
 from changeminer.pdg import build_fgpdg
 from changeminer.source import AstNode, parse_source
 
+from _oracle import reference_match_bottom_up
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit
 
 
@@ -129,6 +130,36 @@ def test_projection_does_not_depend_on_the_order_of_pairs(before, after):
         assert project_mapping(shuffled, g_b, g_a) == expected
 
 
+def _sum_chain(first: str) -> str:
+    # 297 terms: the deepest sum a function unit converts (``MAX_NESTING``).
+    return "def f(a):\n    return " + " + ".join([first] + ["a"] * 296) + "\n"
+
+
+def _subscript_chain(name: str) -> str:
+    # 296 subscripts, as deep in ``ast`` levels as the 297-term sum.
+    return "def f(a):\n    return " + name + "[0]" * 296 + "\n"
+
+
+def _elif_chain(call: str) -> str:
+    lines = ["def f(a):", "    if a == 0:", "        g0()"]
+    for i in range(1, 100):
+        lines += [f"    elif a == {i}:", f"        g{i}()"]
+    lines += ["    else:", f"        {call}()"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("chain, old, new", [
+    (_sum_chain, "b", "c"), (_subscript_chain, "x", "y"), (_elif_chain, "h", "k"),
+], ids=["sum", "subscript", "elif"])
+def test_deep_chain_leaves_only_the_renamed_leaf_unmatched(chain, old, new):
+    body_b, body_a = build_unit(chain(old))[0].body, build_unit(chain(new))[0].body
+    mapping = map_asts(body_b, body_a)
+    left_b = [n for n in body_b.preorder() if not mapping.has_before(n)]
+    left_a = [n for n in body_a.preorder() if not mapping.has_after(n)]
+    assert [(n.kind, n.label, n.is_leaf()) for n in left_b] == [("Name", old, True)]
+    assert [(n.kind, n.label, n.is_leaf()) for n in left_a] == [("Name", new, True)]
+
+
 def _leaf(kind, label):
     return AstNode(kind, label)
 
@@ -141,38 +172,41 @@ def _tree(spec):
     return node
 
 
-def test_dice_hand_computed_values():
-    # 2 mapped pairs with |desc| = 3 and 5 gives 2*2/(3+5) = 0.5
+def _bottom_up_pairs_roots(n1, n2, mapped) -> bool:
+    """Whether bottom-up pairs the roots once the ``mapped`` children are."""
+    interned: dict = {}
+    partial = TreeMapping()
+    for i in mapped:
+        partial.add(n1.children[i], n2.children[i])
+    _match_bottom_up(_TreeIndex(n1, interned), _TreeIndex(n2, interned), partial)
+    return partial.after_of(n1) is n2
+
+
+def test_bottom_up_pairs_at_dice_one_half():
+    # 2 mapped pairs with |desc| = 3 and 5 gives 2*2/(3+5) = 0.5, the
+    # threshold; with one of them, 2*1/8 = 0.25.
     n1 = _tree(("A", "", [("B", "x", []), ("B", "y", []), ("B", "z", [])]))
     n2 = _tree(("A", "", [("B", "x", []), ("B", "y", []), ("B", "q", []),
                           ("B", "r", []), ("B", "s", [])]))
-    partial = TreeMapping()
-    partial.add(n1.children[0], n2.children[0])
-    partial.add(n1.children[1], n2.children[1])
-    assert dice(n1, n2, partial) == 0.5
+    assert _bottom_up_pairs_roots(n1, n2, [0, 1])
+    assert not _bottom_up_pairs_roots(n1, n2, [0])
+    assert not _bottom_up_pairs_roots(n1, n2, [])
 
 
-def test_dice_full_and_empty():
+def test_bottom_up_pairs_fully_mapped_containers_only():
     n1 = _tree(("A", "", [("B", str(i), []) for i in range(4)]))
     n2 = _tree(("A", "", [("B", str(i), []) for i in range(4)]))
-    partial = TreeMapping()
-    assert dice(n1, n2, partial) == 0.0
-    for c1, c2 in zip(n1.children, n2.children):
-        partial.add(c1, c2)
-    assert dice(n1, n2, partial) == 1.0
-    assert dice(_leaf("A", ""), _leaf("A", ""), TreeMapping()) == 0.0
+    assert _bottom_up_pairs_roots(n1, n2, range(4))
+    assert not _bottom_up_pairs_roots(n1, n2, [])
+    assert not _bottom_up_pairs_roots(_leaf("A", ""), _leaf("A", ""), [])
 
 
-def test_dice_monotone_in_mapped_pairs():
+def test_bottom_up_pairs_from_three_of_five_mapped_children():
+    # Dice is 2k/10 with k of the five children mapped: 0.4 at k = 2, 0.6 at 3.
     n1 = _tree(("A", "", [("B", str(i), []) for i in range(5)]))
     n2 = _tree(("A", "", [("B", str(i), []) for i in range(5)]))
-    partial = TreeMapping()
-    previous = dice(n1, n2, partial)
-    for c1, c2 in zip(n1.children, n2.children):
-        partial.add(c1, c2)
-        current = dice(n1, n2, partial)
-        assert current >= previous
-        previous = current
+    assert [_bottom_up_pairs_roots(n1, n2, range(k)) for k in range(6)] == \
+        [False, False, False, True, True, True]
 
 
 _tree_strategy = st.recursive(
@@ -224,3 +258,21 @@ def test_matching_stops_where_the_loop_over_both_phases_does(spec1, spec2):
         _match_bottom_up(i1, i2, reference)
         _recover_leaves(i1, i2, reference)
     assert map_asts(t1, t2).pairs == reference.pairs
+
+
+@given(_tree_strategy, _tree_strategy)
+def test_bottom_up_pairs_as_the_rescanning_reference_does(spec1, spec2):
+    t1, t2 = _tree(spec1), _tree(spec2)
+    interned: dict = {}
+    i1, i2 = _TreeIndex(t1, interned), _TreeIndex(t2, interned)
+    engine, reference = TreeMapping(), TreeMapping()
+    _match_top_down(i1, i2, engine)
+    _match_top_down(i1, i2, reference)
+    # Each round starts from the same pairs, recovered after the last one.
+    while True:
+        _match_bottom_up(i1, i2, engine)
+        reference_match_bottom_up(i1, i2, reference)
+        assert engine.pairs == reference.pairs
+        _recover_leaves(i1, i2, reference)
+        if not _recover_leaves(i1, i2, engine):
+            break
