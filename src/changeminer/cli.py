@@ -192,9 +192,10 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     corpus_index = {graph.id: graph for graph in corpus}
     patterns = mine(corpus, cfg)
 
+    repos = manifest.get("repos", {})
     repo_modules = {
         repo_id: set(info.get("project_modules", []))
-        for repo_id, info in manifest.get("repos", {}).items()
+        for repo_id, info in repos.items()
     }
     for record in patterns.patterns:
         modules: set[str] = set()
@@ -204,7 +205,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
             record.graph, record.instances, corpus_index,
             frozenset(modules)).value
 
-    write_pattern_set(patterns, args.out, store, asdict(cfg))
+    write_pattern_set(patterns, args.out, corpus_index, repos, asdict(cfg))
     samples = sum(record.support for record in patterns.patterns)
     print(f"{len(patterns.patterns)} patterns, {samples} samples")
     for warning in patterns.warnings:

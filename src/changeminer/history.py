@@ -37,7 +37,7 @@ SCHEMA_VERSION = 1
 # Per-repository counters in the store manifest; each is a sum over commits,
 # so it does not depend on the worker count.
 REPO_COUNTERS = ("function_pairs", "pairs_unchanged", "unsupported",
-                 "parse_failures", "graphs")
+                 "parse_failures", "syntax_warnings", "graphs")
 
 
 class RepoUnavailable(Exception):
@@ -238,6 +238,7 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
             warnings.append(f"{commit.hash[:8]} {path}: parse failure ({reason})")
             counts["parse_failures"] += 1
             continue
+        counts["syntax_warnings"] += module_b.syntax_warnings + module_a.syntax_warnings
         imports_b = build_import_table(module_b)
         imports_a = build_import_table(module_a)
         units_b = extract_functions(module_b, module_path)

@@ -118,16 +118,23 @@ class PatternSet:
 
 
 class CorpusGraph:
-    """Adjacency view of one change-graph record, sufficient for matching."""
+    """One change-graph record: adjacency for matching, plus what a pattern set records."""
 
     def __init__(self, record: dict):
         self.id: str = record["id"]
-        self.repo_id: str = record["provenance"]["repo_id"]
+        self.provenance: dict = record["provenance"]
+        self.repo_id: str = self.provenance["repo_id"]
+        self.code: dict = record.get("code", {})
+        self.changed: set[int] = set(record["changed"])
+        self.changed_spans: dict[str, list] = {"Before": [], "After": []}
         self.nodes: dict[int, TNode] = {}
         for node in record["nodes"]:
             self.nodes[node["id"]] = TNode(node["version"], node["kind"],
                                            node["subkind"], node["label"])
-        self.changed: set[int] = set(record["changed"])
+            if node["id"] in self.changed and node.get("span"):
+                self.changed_spans[node["version"]].append(node["span"])
+        for spans in self.changed_spans.values():
+            spans.sort()
         self.incident: dict[int, list[tuple[str, str, str, int]]] = {
             nid: [] for nid in self.nodes
         }
@@ -410,15 +417,17 @@ def mine(corpus: list[CorpusGraph],
             if key in visited:
                 continue
             visited.add(key)
-            support = support_of(pattern, pattern_instances)
-            if (pattern.size >= cfg.min_size and support >= cfg.min_freq
+            # The seed check and ``extend`` stack only frequent templates, and
+            # one instance per anchor key is reported: ``support_of`` many.
+            if (pattern.size >= cfg.min_size
                     and next(universally_changed(pattern_instances, corpus_index,
                                                  pattern.size), None) is not None):
+                reported = _dedup_instances(pattern, pattern_instances)
                 collected.append(PatternRecord(
                     graph=pattern,
-                    instances=_dedup_instances(pattern, pattern_instances),
+                    instances=reported,
                     canonical_key=key,
-                    support=support,
+                    support=len(reported),
                     project_ids=sorted({corpus_index[gid].repo_id
                                         for gid, _ in pattern_instances}),
                 ))

@@ -12,8 +12,8 @@ import re
 import shutil
 from pathlib import Path
 
-from .history import SCHEMA_VERSION, TOOL_VERSION, ChangeGraphStore
-from .mining import PatternGraph, PatternRecord, PatternSet, TNode
+from .history import SCHEMA_VERSION, TOOL_VERSION
+from .mining import CorpusGraph, PatternGraph, PatternRecord, PatternSet, TNode
 
 _NODE_SHAPES = {"Data": "ellipse", "Operation": "box", "Control": "diamond"}
 
@@ -63,16 +63,16 @@ def _call_pair_labels(pattern: PatternGraph) -> list[list[str]]:
 
 
 def write_pattern_set(patterns: PatternSet, out_dir: str | Path,
-                      store: ChangeGraphStore, config: dict) -> None:
+                      corpus_index: dict[str, CorpusGraph], repos: dict,
+                      config: dict) -> None:
     """Persist meta/graph/instance files per pattern plus a run manifest.
 
-    Instance records snapshot provenance and sample code out of the store, so
-    reports can be rendered later from the pattern directory alone.
+    Instance records snapshot provenance, sample code and changed spans out
+    of the corpus, so reports can be rendered later from the pattern
+    directory alone. ``repos`` is the store manifest's per-repository info.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    records_by_id = {record["id"]: record for record in store.iter_records()}
-    store_manifest = store.manifest()
 
     for index, record in enumerate(patterns.patterns):
         pdir = out / pattern_dir_name(index)
@@ -92,15 +92,15 @@ def write_pattern_set(patterns: PatternSet, out_dir: str | Path,
         _dump(pdir / "graph.json", graph_to_dict(record.graph))
         instances = []
         for gid, binding in record.instances:
-            source = records_by_id.get(gid)
+            graph = corpus_index.get(gid)
             entry: dict = {
                 "change_graph_id": gid,
                 "binding": {str(i): concrete for i, concrete in enumerate(binding)},
             }
-            if source is not None:
-                entry["provenance"] = source["provenance"]
-                entry["code"] = source.get("code", {})
-                entry["changed_spans"] = _changed_spans(source)
+            if graph is not None:
+                entry["provenance"] = graph.provenance
+                entry["code"] = graph.code
+                entry["changed_spans"] = graph.changed_spans
             instances.append(entry)
         _dump(pdir / "instances.json", instances)
 
@@ -111,7 +111,7 @@ def write_pattern_set(patterns: PatternSet, out_dir: str | Path,
         "pattern_count": len(patterns.patterns),
         "sample_count": sum(r.support for r in patterns.patterns),
         "warnings": sorted(patterns.warnings),
-        "repos": store_manifest.get("repos", {}),
+        "repos": repos,
     }
     _dump(out / "manifest.json", manifest)
     remove_stale(out, {pattern_dir_name(i) for i in range(len(patterns.patterns))})
@@ -131,17 +131,6 @@ def remove_stale(out: Path, names: set[str], suffix: str = "") -> None:
             shutil.rmtree(path)
         else:
             path.unlink()
-
-
-def _changed_spans(record: dict) -> dict:
-    spans: dict[str, list] = {"Before": [], "After": []}
-    changed = set(record["changed"])
-    for node in record["nodes"]:
-        if node["id"] in changed and node.get("span"):
-            spans[node["version"]].append(node["span"])
-    for version in spans:
-        spans[version].sort()
-    return spans
 
 
 def _dump(path: Path, data) -> None:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import ast
 import re
 import threading
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -187,7 +188,9 @@ def parse_module(text: str | bytes) -> ast.Module:
     Invalid UTF-8 byte sequences are replaced rather than rejected, so history
     mining never aborts on one badly encoded file. Raises ``SyntaxError`` when
     the text does not parse under the Python 3 grammar. The module carries the
-    text's lines as ``lines``, which function units slice for their source.
+    text's lines as ``lines``, which function units slice for their source,
+    and as ``syntax_warnings`` the number of warnings of any category that
+    ``ast.parse`` raised; they are recorded, not printed.
 
     Under 3.11 the depth ``ast.parse`` accepts shrinks with the caller's
     stack, so a text it refuses as too deep is parsed again in a fresh
@@ -197,11 +200,16 @@ def parse_module(text: str | bytes) -> ast.Module:
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
-    try:
-        module = ast.parse(text)
-    except RecursionError:
-        module = _parse_in_fresh_thread(text)
+    # A retry repeats the first attempt's warnings; its thread's are caught too.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            module = ast.parse(text)
+        except RecursionError:
+            caught.clear()
+            module = _parse_in_fresh_thread(text)
     module.lines = _LINE_BREAK.split(text)
+    module.syntax_warnings = len(caught)
     return module
 
 

@@ -374,3 +374,37 @@ def test_readme_states_each_fixed_bound(module, name):
         value + r"\s+\(`" + name + "`|`" + name + r"`\s+\(" + value + r"\)", text)}
     assert stated == {f"{getattr(module, name):,}".replace(",", " ")}, \
         f"README states {name} as {sorted(stated)}"
+
+
+def test_readme_names_every_repo_counter():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Output formats", 1)[1].split("\n## ", 1)[0]
+    missing = [name for name in REPO_COUNTERS if f"`{name}`" not in section]
+    assert not missing, f"README's Output formats section lacks {missing}"
+
+
+def test_pattern_instances_snapshot_the_store(tmp_path, twin_repo, capsys):
+    listing = write_repos(tmp_path, [f"rc {twin_repo}"])
+    assert main(["mine", "--repos", listing, "--out", str(tmp_path / "store")]) == 0
+    out = tmp_path / "patterns"
+    assert main(["patterns", "--store", str(tmp_path / "store"), "--out", str(out),
+                 "--min-freq", "2", "--min-size", "2", "--keep-subpatterns"]) == 0
+    capsys.readouterr()
+    records = {}
+    for line in (tmp_path / "store" / "records.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        records[record["id"]] = record
+    entries = load_pattern_dir(out)
+    assert len(entries) > 1
+    for entry in entries:
+        assert entry["meta"]["support"] == len(entry["instances"])
+        for instance in entry["instances"]:
+            record = records[instance["change_graph_id"]]
+            spans = {"Before": [], "After": []}
+            for node in record["nodes"]:
+                if node["id"] in record["changed"]:
+                    spans[node["version"]].append(node["span"])
+            assert instance["provenance"] == record["provenance"]
+            assert instance["code"] == record["code"]
+            assert instance["changed_spans"] == {v: sorted(s) for v, s in spans.items()}
+            assert any(instance["changed_spans"].values())

@@ -5,6 +5,7 @@ import json
 import logging
 import os
 import subprocess
+import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -544,3 +545,25 @@ def test_code_snippet_follows_the_parsers_lines(tmp_path):
         "After": {"text": "def f(x):\n    s = 'one\u2028two'\n    return x + 2",
                   "start_line": 4},
     }
+
+
+def test_parser_warnings_are_counted_not_printed(tmp_path):
+    # An invalid escape is a DeprecationWarning up to 3.11 and a
+    # SyntaxWarning from 3.12; -W always would print either as <unknown>:N.
+    before = 'def f():\n    return find("\\(")\n'
+    after = 'def f():\n    return search("\\(", "\\(")\n'
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": before}, "initial")
+    commit_files(repo, {"mod.py": after}, "search for it")
+    listing = tmp_path / "repos.txt"
+    listing.write_text(f"r1 {repo}\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "changeminer", "mine", "--repos",
+         str(listing), "--out", str(tmp_path / "store")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert "<unknown>" not in result.stderr
+    info = ChangeGraphStore(tmp_path / "store").manifest()["repos"]["r1"]
+    # One warning in the before revision, two in the after one.
+    assert (info["syntax_warnings"], info["graphs"]) == (3, 1)

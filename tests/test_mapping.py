@@ -209,6 +209,23 @@ def test_bottom_up_pairs_from_three_of_five_mapped_children():
         [False, False, False, True, True, True]
 
 
+def test_bottom_up_pairs_the_nearer_of_equally_scored_candidates():
+    # The before C (preorder index 5) scores 2*1/(2+2) = 0.5 against both
+    # after Cs; the second (index 4) is nearer than the first (index 1).
+    n1 = _tree(("R", "", [("D", "", [("L", "1", []), ("L", "2", []), ("L", "3", [])]),
+                          ("C", "", [("B", "x", []), ("B", "y", [])])]))
+    n2 = _tree(("R", "", [("C", "", [("B", "x", []), ("B", "q", [])]),
+                          ("C", "", [("B", "y", []), ("B", "r", [])])]))
+    container_b = n1.children[1]
+    far_a, near_a = n2.children
+    partial = TreeMapping()
+    partial.add(container_b.children[0], far_a.children[0])
+    partial.add(container_b.children[1], near_a.children[0])
+    interned: dict = {}
+    _match_bottom_up(_TreeIndex(n1, interned), _TreeIndex(n2, interned), partial)
+    assert partial.after_of(container_b) is near_a
+
+
 _tree_strategy = st.recursive(
     st.sampled_from([("Name", "x"), ("Name", "y"), ("Literal", "1")]).map(
         lambda kl: (kl[0], kl[1], [])),

@@ -27,14 +27,15 @@ def mined_patterns(tmp_path):
     repos = {r: {"url": "x", "domain_tag": tag, "graphs": 1, "project_modules": []}
              for r, tag in [("ra", "Web"), ("rb", "Data"), ("rc", "Web")]}
     store = build_store(tmp_path, records, repos)
-    patterns = mine(load_corpus(store), MiningConfig())
+    corpus = load_corpus(store)
+    patterns = mine(corpus, MiningConfig())
     for record in patterns.patterns:
         record.category = "BUILT"
-    return store, patterns
+    return {g.id: g for g in corpus}, store.manifest()["repos"], patterns
 
 
 def test_dot_export_structure(tmp_path):
-    _, patterns = mined_patterns(tmp_path)
+    *_, patterns = mined_patterns(tmp_path)
     dot = export_graph(patterns.patterns[0].graph, "dot")
     assert dot.startswith("digraph pattern {")
     assert "cluster_before" in dot and "cluster_after" in dot
@@ -55,7 +56,7 @@ def test_single_seed_pattern_dot_has_two_nodes_one_dashed_edge():
 
 
 def test_structured_text_round_trip(tmp_path):
-    _, patterns = mined_patterns(tmp_path)
+    *_, patterns = mined_patterns(tmp_path)
     original = patterns.patterns[0].graph
     text = export_graph(original, "structured-text")
     parsed = graph_from_dict(json.loads(text))
@@ -64,9 +65,9 @@ def test_structured_text_round_trip(tmp_path):
 
 
 def test_write_pattern_set_layout(tmp_path):
-    store, patterns = mined_patterns(tmp_path)
+    corpus_index, repos, patterns = mined_patterns(tmp_path)
     out = tmp_path / "patterns"
-    write_pattern_set(patterns, out, store, {"min_freq": 3})
+    write_pattern_set(patterns, out, corpus_index, repos, {"min_freq": 3})
     entries = load_pattern_dir(out)
     assert len(entries) == 1
     meta = entries[0]["meta"]
@@ -88,9 +89,9 @@ def test_write_pattern_set_layout(tmp_path):
 
 
 def test_html_pages_and_index(tmp_path):
-    store, patterns = mined_patterns(tmp_path)
+    corpus_index, repos, patterns = mined_patterns(tmp_path)
     out = tmp_path / "patterns"
-    write_pattern_set(patterns, out, store, {})
+    write_pattern_set(patterns, out, corpus_index, repos, {})
     html_dir = tmp_path / "html"
     count = render_html(out, html_dir)
     assert count == 1
@@ -106,10 +107,10 @@ def test_html_pages_and_index(tmp_path):
 
 
 def test_html_missing_record_gets_placeholder(tmp_path):
-    store, patterns = mined_patterns(tmp_path)
+    corpus_index, repos, patterns = mined_patterns(tmp_path)
     patterns.patterns[0].instances.append(("cg-missing", (0, 1, 2, 3)))
     out = tmp_path / "patterns"
-    write_pattern_set(patterns, out, store, {})
+    write_pattern_set(patterns, out, corpus_index, repos, {})
     html_dir = tmp_path / "html"
     render_html(out, html_dir)
     page = (html_dir / (pattern_dir_name(0) + ".html")).read_text()
@@ -136,9 +137,9 @@ def test_highlight_reads_columns_as_utf8_bytes():
 
 
 def test_stats_tables(tmp_path):
-    store, patterns = mined_patterns(tmp_path)
+    corpus_index, repos, patterns = mined_patterns(tmp_path)
     out = tmp_path / "patterns"
-    write_pattern_set(patterns, out, store, {})
+    write_pattern_set(patterns, out, corpus_index, repos, {})
     report = stats_report(out)
     assert "patterns: 1" in report
     assert "samples: 3" in report
@@ -160,7 +161,7 @@ def test_stats_lists_mov_for_moved_functionality(tmp_path):
         record.category = structural_category(
             record.graph, record.instances, corpus_index).value
     out = tmp_path / "patterns"
-    write_pattern_set(patterns, out, store, {})
+    write_pattern_set(patterns, out, corpus_index, {}, {})
     report = stats_report(out)
     mov_line = [line for line in report.splitlines() if line.strip().startswith("MOV")]
     assert mov_line and int(mov_line[0].split()[-1]) >= 1
@@ -174,10 +175,10 @@ def test_stats_empty_dir_all_zero(tmp_path):
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):
-    store, patterns = mined_patterns(tmp_path)
+    corpus_index, repos, patterns = mined_patterns(tmp_path)
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
-    write_pattern_set(patterns, out1, store, {"min_freq": 3})
-    write_pattern_set(patterns, out2, store, {"min_freq": 3})
+    write_pattern_set(patterns, out1, corpus_index, repos, {"min_freq": 3})
+    write_pattern_set(patterns, out2, corpus_index, repos, {"min_freq": 3})
     files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
     files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
     assert files1 == files2
