@@ -181,6 +181,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_patterns(args: argparse.Namespace) -> int:
     cfg = MiningConfig(**_merged(args))
     store = ChangeGraphStore(args.store)
+    if not (store.root / store.MANIFEST).exists():
+        print(f"error: no change-graph store at {args.store}", file=sys.stderr)
+        return 1
     manifest = store.manifest()
     if manifest.get("schema_version") != SCHEMA_VERSION:
         print(f"error: store schema version "

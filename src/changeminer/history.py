@@ -372,7 +372,6 @@ class ChangeGraphStore:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._records_path = self.root / self.RECORDS
         self._manifest_path = self.root / self.MANIFEST
         self._pending: list[tuple[tuple[str, ...], str]] = []  # (sort key, line)
@@ -394,6 +393,7 @@ class ChangeGraphStore:
     def finalize(self, config: dict, repos: dict) -> None:
         """Replace the records and manifest with the held records, sorted."""
         self._pending.sort(key=lambda item: item[0])
+        self.root.mkdir(parents=True, exist_ok=True)
         with open(self._records_path, "w", encoding="utf-8") as handle:
             for _, line in self._pending:
                 handle.write(line + "\n")

@@ -2,11 +2,12 @@
 
 Patterns start as mapped pairs of call nodes and grow one node at a time.
 A growth candidate is keyed by (attachment node, edge kind+label, direction,
-new node signature, version); it survives when enough instances across the
-corpus embed it. ``extend`` forms the groups in one pass over the instances
-that also finds the links every member's new node has to its binding; the
-grown template holds all of them, so one recurring change yields one template
-rather than one per spanning tree.
+new node signature, version); it survives when its support, the number of
+change graphs (function edits) its instances lie in, reaches ``min_freq``.
+``extend`` forms the groups in one pass over the instances that also finds the
+links every member's new node has to its binding; the grown template holds all
+of them, so one recurring change yields one template rather than one per
+spanning tree.
 
 Template identity is a canonical key from an exact canonical labelling by
 individualization-refinement: neighbourhood refinement to stable integer
@@ -76,15 +77,12 @@ class PatternGraph:
     def size(self) -> int:
         return len(self.nodes)
 
-    def call_pair_indices(self) -> list[int]:
-        return sorted({idx for pair in self.call_pairs() for idx in pair})
-
     def call_pairs(self) -> list[tuple[int, int]]:
         return _call_pairs(self.nodes, self.map_edges)
 
 
 def _call_pairs(nodes, map_edges) -> list[tuple[int, int]]:
-    """The anchors of a graph: its map edges whose two ends are calls, sorted."""
+    """The map edges of a graph whose two ends are calls, sorted."""
     return sorted((b, a) for b, a in map_edges
                   if nodes[b].subkind == "call" and nodes[a].subkind == "call")
 
@@ -187,16 +185,9 @@ def collect_seeds(corpus: list[CorpusGraph], cfg: MiningConfig | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _anchor_keys(pattern: PatternGraph, instances: list[Instance]) -> list[tuple]:
-    """(graph, anchor nodes) of each instance; support counts distinct ones."""
-    anchor_idx = pattern.call_pair_indices()
-    return [(gid, frozenset(binding[i] for i in anchor_idx))
-            for gid, binding in instances]
-
-
-def support_of(pattern: PatternGraph, instances: list[Instance]) -> int:
-    """Distinct (graph, anchor nodes) count; anchors are the mapped call pairs."""
-    return len(set(_anchor_keys(pattern, instances)))
+def support_of(instances: list[Instance]) -> int:
+    """The number of distinct change graphs among the instances."""
+    return len({gid for gid, _ in instances})
 
 
 def _growth_key_string(key) -> str:
@@ -213,6 +204,7 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
     growth key and joins the neighbour's link set as (attachment, kind, label,
     direction seen from the attachment). Once the instance is read, each group
     it joined keeps only the links it shares with that neighbour's full set.
+    Only the groups whose members reach ``min_freq`` graphs get a template.
     """
     groups: dict[tuple, list[Instance]] = {}
     shared: dict[tuple, set[tuple[int, str, str, str]]] = {}
@@ -236,12 +228,12 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
 
     scored = []
     for key, members in groups.items():
-        candidate = _grown_template(pattern, key[4], shared[key])
-        support = support_of(candidate, members)
+        support = support_of(members)
         if support >= cfg.min_freq:
-            scored.append((-support, _growth_key_string(key), candidate, members))
+            scored.append((-support, _growth_key_string(key), key, members))
     scored.sort(key=lambda item: (item[0], item[1]))
-    return [(candidate, members) for _, _, candidate, members in scored]
+    return [(_grown_template(pattern, key[4], shared[key]), members)
+            for _, _, key, members in scored]
 
 
 def _grown_template(pattern: PatternGraph, sig: TNode,
@@ -377,12 +369,11 @@ def universally_changed(instances: list[Instance], corpus_index: dict,
             yield idx
 
 
-def _dedup_instances(pattern: PatternGraph, instances: list[Instance]) -> list[Instance]:
-    """One reported instance per (graph, anchor nodes), smallest binding first."""
-    ordered = sorted(instances)
-    best: dict[tuple, Instance] = {}
-    for key, instance in zip(_anchor_keys(pattern, ordered), ordered):
-        best.setdefault(key, instance)
+def _dedup_instances(instances: list[Instance]) -> list[Instance]:
+    """One reported instance per change graph, its smallest binding."""
+    best: dict[str, Instance] = {}
+    for instance in sorted(instances):
+        best.setdefault(instance[0], instance)
     return list(best.values())
 
 
@@ -407,7 +398,7 @@ def mine(corpus: list[CorpusGraph],
              TNode("After", "Operation", "call", labels[1])),
             frozenset(), frozenset({(0, 1)}))
         instances: list[Instance] = [(gid, (b, a)) for gid, b, a in members]
-        if support_of(template, instances) < cfg.min_freq:
+        if support_of(instances) < cfg.min_freq:
             continue
         work = 0
         stack: list[tuple[PatternGraph, list[Instance]]] = [(template, instances)]
@@ -418,11 +409,11 @@ def mine(corpus: list[CorpusGraph],
                 continue
             visited.add(key)
             # The seed check and ``extend`` stack only frequent templates, and
-            # one instance per anchor key is reported: ``support_of`` many.
+            # one instance per change graph is reported: ``support_of`` many.
             if (pattern.size >= cfg.min_size
                     and next(universally_changed(pattern_instances, corpus_index,
                                                  pattern.size), None) is not None):
-                reported = _dedup_instances(pattern, pattern_instances)
+                reported = _dedup_instances(pattern_instances)
                 collected.append(PatternRecord(
                     graph=pattern,
                     instances=reported,

@@ -144,10 +144,9 @@ def _all_embeddings(t: PatternGraph, corpus: list[CorpusGraph]):
     return out
 
 
-def _support(t: PatternGraph, embedded) -> int:
-    anchors = t.call_pair_indices()
-    return len({(gid, frozenset(binding[i] for i in anchors))
-                for gid, binding in embedded})
+def _support(embedded) -> int:
+    """The number of distinct change graphs among the embeddings."""
+    return len({gid for gid, _ in embedded})
 
 
 def _universally_changed(embedded, corpus_by_id, size: int) -> bool:
@@ -294,7 +293,7 @@ def oracle_pattern_keys(corpus: list[CorpusGraph], cfg: MiningConfig) -> set[str
         upcoming: list[PatternGraph] = []
         for template in frontier:
             embedded = _all_embeddings(template, corpus)
-            support = _support(template, embedded)
+            support = _support(embedded)
             if support < cfg.min_freq:
                 continue
             if template.size >= cfg.min_size and _universally_changed(
@@ -303,7 +302,7 @@ def oracle_pattern_keys(corpus: list[CorpusGraph], cfg: MiningConfig) -> set[str
             if template.size >= cfg.max_size:
                 continue
             for child in _grow(template, embedded, corpus_by_id):
-                child_support = _support(child, _all_embeddings(child, corpus))
+                child_support = _support(_all_embeddings(child, corpus))
                 if child_support >= cfg.min_freq and note(child):
                     upcoming.append(child)
         frontier = upcoming

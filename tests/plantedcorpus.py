@@ -1,14 +1,22 @@
-"""Planted mini-repo corpus: five recurring changes spread over six repos.
+"""Planted corpora: recurring changes spread over scripted git repositories.
 
-Each planted change has three instances in at least two repositories; every
-noise commit is structurally unique so it can never reach the frequency
-threshold. Instance surroundings differ on purpose, which pins the maximal
-shared pattern to the planted core.
+The mini-repo corpus has five recurring changes spread over six repos. Each
+planted change has three instances in at least two repositories; every noise
+commit is structurally unique so it can never reach the frequency threshold.
+Instance surroundings differ on purpose, which pins the maximal shared
+pattern to the planted core.
+
+The stdlib corpus plants method renames into real functions of a standard
+library tree, one commit per function, so the changes sit in real code.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
+
+from changeminer.pdg import UnsupportedConstruct, build_fgpdg
+from changeminer.source import build_import_table, extract_functions, parse_module
 
 from gitrepos import commit_files, init_repo
 
@@ -272,3 +280,92 @@ def build_planted_corpus(root: Path) -> tuple[Path, int]:
         "".join(f"{name} {root / name} {domain}\n"
                 for name, domain in REPO_DOMAINS.items()))
     return listing, noise_commits
+
+
+# Method renames planted into stdlib functions, each in STDLIB_PER_REPO
+# functions of each of STDLIB_REPOS.
+STDLIB_RENAMES = (("startswith", "endswith"), ("lower", "upper"))
+STDLIB_REPOS = ("s1", "s2", "s3")
+STDLIB_PER_REPO = 6
+
+
+def _own_method_calls(def_node: ast.AST, method: str) -> list[ast.Attribute]:
+    """``.method`` callees in a def's body, outside nested defs, classes and lambdas."""
+    found = []
+    stack = list(def_node.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == method):
+            found.append(node.func)
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found, key=lambda func: (func.end_lineno, func.end_col_offset))
+
+
+def _renamed(text: str, func: ast.Attribute, new: str) -> str:
+    """``text`` with the attribute name that ends ``func`` replaced by ``new``."""
+    lines = text.encode("utf-8").splitlines(keepends=True)
+    line = lines[func.end_lineno - 1]
+    start = func.end_col_offset - len(func.attr)  # ast columns are UTF-8 bytes
+    lines[func.end_lineno - 1] = line[:start] + new.encode() + line[func.end_col_offset:]
+    return b"".join(lines).decode("utf-8")
+
+
+def _planted_edit(path: Path, old: str, new: str) -> tuple[str, str] | None:
+    """(function, renamed text) for the first function of a file that calls
+    ``.old(`` in its own code and that the graph builder accepts."""
+    text = path.read_text(encoding="utf-8")
+    module = parse_module(text)
+    imports = build_import_table(module)
+    for unit in extract_functions(module, path.stem):
+        calls = _own_method_calls(unit.node, old)
+        if not calls:
+            continue
+        try:
+            build_fgpdg(unit, imports)
+        except UnsupportedConstruct:
+            continue
+        return unit.qualified_name, _renamed(text, calls[0], new)
+    return None
+
+
+def build_stdlib_renames(root: Path, stdlib: Path) -> tuple[Path, dict]:
+    """Plant STDLIB_RENAMES into the top-level modules of a stdlib tree.
+
+    Files are read in sorted order and none is used twice; each file gives
+    the first function that can carry the first rename still short of
+    functions. Rename i's j-th function goes to repository j % 3, as a base
+    commit of the file followed by one commit that renames the first call.
+    Returns the repos listing and, per rename, the planted (repo, file,
+    function) triples; a rename may get fewer functions than asked for.
+    """
+    wanted = STDLIB_PER_REPO * len(STDLIB_REPOS)
+    picked: dict[tuple[str, str], list] = {rename: [] for rename in STDLIB_RENAMES}
+    for path in sorted(stdlib.glob("*.py")):
+        for rename in STDLIB_RENAMES:
+            if len(picked[rename]) == wanted:
+                continue
+            edit = _planted_edit(path, *rename)
+            if edit is not None:
+                picked[rename].append((path, *edit))
+                break
+
+    root.mkdir(parents=True, exist_ok=True)
+    planted: dict[tuple[str, str], set] = {rename: set() for rename in STDLIB_RENAMES}
+    for number, repo_name in enumerate(STDLIB_REPOS):
+        repo = init_repo(root / repo_name)
+        edits = [(rename, *edit) for rename in STDLIB_RENAMES
+                 for edit in picked[rename][number::len(STDLIB_REPOS)]]
+        commit_files(repo, {path.name: path.read_text(encoding="utf-8")
+                            for _, path, _, _ in edits}, "import stdlib modules")
+        for rename, path, function, renamed in edits:
+            commit_files(repo, {path.name: renamed},
+                         f"{function}: {rename[0]} -> {rename[1]}")
+            planted[rename].add((repo_name, path.name, function))
+
+    listing = root / "repos.txt"
+    listing.write_text("".join(f"{name} {root / name}\n" for name in STDLIB_REPOS))
+    return listing, planted

@@ -7,7 +7,10 @@ lines alongside pytest's own output.
 from __future__ import annotations
 
 import json
+import sys
+import sysconfig
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -21,7 +24,8 @@ from changeminer.report import load_pattern_dir
 from _oracle import oracle_pattern_keys
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for
 from gitrepos import commit_files, init_repo
-from plantedcorpus import PLANTED, build_planted_corpus
+from plantedcorpus import (PLANTED, STDLIB_PER_REPO, STDLIB_RENAMES, STDLIB_REPOS,
+                           build_planted_corpus, build_stdlib_renames)
 from test_mining import random_corpus, _ORACLE_CFG
 
 
@@ -78,6 +82,68 @@ def test_criterion_1_planted_pattern_recovery(planted):
         ]
         assert len(legitimate) / len(entries) >= 0.9
         assert planted.elapsed < 120.0, f"pipeline took {planted.elapsed:.1f}s"
+
+
+_STDLIB = Path(sysconfig.get_paths()["stdlib"])
+
+
+@pytest.fixture(scope="session")
+def stdlib_renames(tmp_path_factory):
+    if not (_STDLIB / "os.py").is_file():
+        pytest.skip("needs the running interpreter's standard library")
+    root = tmp_path_factory.mktemp("stdlib-renames")
+    listing, planted = build_stdlib_renames(root / "repos", _STDLIB)
+    store = root / "store"
+    patterns_dir = root / "patterns"
+    assert main(["mine", "--repos", str(listing), "--out", str(store)]) == 0
+    assert main(["patterns", "--store", str(store),
+                 "--out", str(patterns_dir)]) == 0
+    return SimpleNamespace(planted=planted, store=store, patterns_dir=patterns_dir)
+
+
+def _carries(entry: dict, rename: tuple[str, str]) -> bool:
+    """Whether a pattern maps a ``.old`` call to a ``.new`` call."""
+    return any(b.rsplit(".", 1)[-1] == rename[0] and a.rsplit(".", 1)[-1] == rename[1]
+               for b, a in entry["meta"]["call_pairs"])
+
+
+def _graph_ids(entry: dict) -> set[str]:
+    return {instance["change_graph_id"] for instance in entry["instances"]}
+
+
+def test_criterion_1_planted_renames_in_stdlib_functions(stdlib_renames):
+    with _report(1, "planted renames recovered from real stdlib functions"):
+        entries = load_pattern_dir(stdlib_renames.patterns_dir)
+        # 35, 33, 32 and 66 patterns with the 3.10.13, 3.11.7, 3.12.1 and
+        # 3.13.0 standard libraries.
+        assert 0 < len(entries) <= 80
+        min_freq = MiningConfig().min_freq
+        graph_of = {(prov["repo_id"], prov["file_path"], prov["function"]): record["id"]
+                    for record in ChangeGraphStore(stdlib_renames.store).iter_records()
+                    for prov in [record["provenance"]]}
+        for rename, sites in stdlib_renames.planted.items():
+            assert len(sites) == STDLIB_PER_REPO * len(STDLIB_REPOS)
+            planted_ids = {graph_of[site] for site in sites if site in graph_of}
+            recovered = [entry for entry in entries if _carries(entry, rename)
+                         and entry["meta"]["project_ids"] == list(STDLIB_REPOS)
+                         and len(_graph_ids(entry)) >= min_freq]
+            assert recovered, f"{rename[0]} -> {rename[1]} not recovered"
+            covered = max(len(_graph_ids(entry) & planted_ids) for entry in recovered)
+            print(f"{rename[0]} -> {rename[1]}: one pattern covers {covered} of "
+                  f"{len(planted_ids)} modelled planted change graphs")
+        for entry in entries:
+            assert not all(_carries(entry, rename) for rename in STDLIB_RENAMES)
+            assert entry["meta"]["support"] == len(_graph_ids(entry)) >= min_freq
+
+
+@pytest.mark.xfail(sys.version_info < (3, 13), strict=True, reason=(
+    "a renamed call's receiver is changed, so the change graph keeps every "
+    "use of it; a template with k of n such equal uses has n!/(n-k)! "
+    "embeddings; with the 3.10-3.12 standard libraries two seeds stop at "
+    "SEED_WORK_BOUND"))
+def test_stdlib_renames_are_searched_within_the_work_bound(stdlib_renames):
+    manifest = json.loads((stdlib_renames.patterns_dir / "manifest.json").read_text())
+    assert not [w for w in manifest["warnings"] if w.startswith("budget exceeded")]
 
 
 def test_criterion_2_oracle_equivalence():

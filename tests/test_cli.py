@@ -85,9 +85,18 @@ def test_mine_with_unreachable_repo_warns_but_succeeds(tmp_path, small_repo, cap
 
 def test_patterns_schema_mismatch_exits_one(tmp_path):
     store = ChangeGraphStore(tmp_path / "store")
+    store.root.mkdir()
     (store.root / "manifest.json").write_text('{"schema_version": 99}')
     assert main(["patterns", "--store", str(store.root),
                  "--out", str(tmp_path / "patterns")]) == 1
+
+
+def test_patterns_reports_a_missing_store_and_creates_nothing(tmp_path, capsys):
+    missing = tmp_path / "typo" / "store"
+    assert main(["patterns", "--store", str(missing),
+                 "--out", str(tmp_path / "typo" / "pat")]) == 1
+    assert capsys.readouterr().err == f"error: no change-graph store at {missing}\n"
+    assert not (tmp_path / "typo").exists()
 
 
 def test_patterns_prints_summary_line(tmp_path, small_repo, capsys):

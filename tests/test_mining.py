@@ -401,6 +401,18 @@ def test_planted_fig2_corpus_yields_single_cross_project_pattern():
     assert ("?.add", "?.update") in labels
 
 
+def test_one_edit_is_one_occurrence():
+    # Three symmetric ``?.strip`` call pairs around one changed call: one
+    # change graph, so no pattern reaches the default min_freq of 3.
+    record = change_record(
+        "def f(a, b, c, s):\n"
+        "    return s.startswith(a.strip(), b.strip(), c.strip())\n",
+        "def f(a, b, c, s):\n"
+        "    return s.endswith(a.strip(), b.strip(), c.strip())\n")
+    assert len(CorpusGraph(record).map_call_pairs) == 4
+    assert mine(load_corpus([record]), MiningConfig()).patterns == []
+
+
 def test_every_emitted_binding_reverifies():
     corpus = fig2_corpus()
     index = {g.id: g for g in corpus}
@@ -409,7 +421,7 @@ def test_every_emitted_binding_reverifies():
     for record in result.patterns:
         for gid, binding in record.instances:
             assert verify_instance(record.graph, index[gid], binding)
-        assert support_of(record.graph, record.instances) == record.support
+        assert support_of(record.instances) == record.support
         assert any(
             all(binding[idx] in index[gid].changed
                 for gid, binding in record.instances)
