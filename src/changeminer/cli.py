@@ -181,15 +181,17 @@ def cmd_mine(args: argparse.Namespace) -> int:
 def cmd_patterns(args: argparse.Namespace) -> int:
     cfg = MiningConfig(**_merged(args))
     store = ChangeGraphStore(args.store)
-    if not (store.root / store.MANIFEST).exists():
-        print(f"error: no change-graph store at {args.store}", file=sys.stderr)
-        return 1
+    # A pattern set has a manifest too, but no records.
+    if not all((store.root / name).exists()
+               for name in (store.RECORDS, store.MANIFEST)):
+        raise ValueError(f"no change-graph store at {args.store}")
+    if (Path(args.out) / store.RECORDS).exists():
+        raise ValueError(f"--out {args.out} holds a change-graph store")
     manifest = store.manifest()
     if manifest.get("schema_version") != SCHEMA_VERSION:
-        print(f"error: store schema version "
-              f"{manifest.get('schema_version')!r} does not match "
-              f"{SCHEMA_VERSION}", file=sys.stderr)
-        return 1
+        raise ValueError(f"store schema version "
+                         f"{manifest.get('schema_version')!r} does not match "
+                         f"{SCHEMA_VERSION}")
 
     corpus = load_corpus(store)
     corpus_index = {graph.id: graph for graph in corpus}
@@ -216,7 +218,16 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_pattern_set(path: str) -> None:
+    # A change-graph store has a manifest too, and records.
+    root = Path(path)
+    if (not (root / "manifest.json").exists()
+            or (root / ChangeGraphStore.RECORDS).exists()):
+        raise ValueError(f"no pattern set at {path}")
+
+
 def cmd_report(args: argparse.Namespace) -> int:
+    _check_pattern_set(args.patterns)
     out = Path(args.out)
     if args.format == "html":
         count = render_html(args.patterns, out)
@@ -236,6 +247,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    _check_pattern_set(args.patterns)
     sys.stdout.write(stats_report(args.patterns))
     return 0
 

@@ -92,16 +92,22 @@ Instance = tuple[str, tuple[int, ...]]  # (change graph id, binding by template 
 
 @dataclass
 class PatternRecord:
+    """A mined template with at most one instance per change graph."""
+
     graph: PatternGraph
     instances: list[Instance]
     canonical_key: str
-    support: int
     project_ids: list[str]
     category: str = ""
 
     @property
     def size(self) -> int:
         return self.graph.size
+
+    @property
+    def support(self) -> int:
+        """The number of change graphs the pattern occurs in."""
+        return len(self.instances)
 
 
 @dataclass
@@ -413,12 +419,10 @@ def mine(corpus: list[CorpusGraph],
             if (pattern.size >= cfg.min_size
                     and next(universally_changed(pattern_instances, corpus_index,
                                                  pattern.size), None) is not None):
-                reported = _dedup_instances(pattern_instances)
                 collected.append(PatternRecord(
                     graph=pattern,
-                    instances=reported,
+                    instances=_dedup_instances(pattern_instances),
                     canonical_key=key,
-                    support=len(reported),
                     project_ids=sorted({corpus_index[gid].repo_id
                                         for gid, _ in pattern_instances}),
                 ))
@@ -450,32 +454,25 @@ def filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
     edges/map edges; the tie rule collapses under-specified views of one
     concrete change (templates that pin down fewer of its connections).
 
-    Dominating candidates come from an inverted index, not from a scan of
-    every pair: the int mask stored under (change-graph id, node) has bit j
-    set when pattern j binds that node in that graph. For p, the candidates
-    are the larger patterns whose masks hold every node of every instance of
-    p. p is dominated when one candidate has, for each instance of p, an
-    instance in the same graph whose node set contains it; with no
-    instances, when any larger pattern exists. A node set is an int with a
-    bit per node id, far smaller than a frozenset when there are millions
-    of instances. Kept patterns stay in input order.
+    Each record has at most one instance per change graph. The int mask
+    stored under (change-graph id, node) has bit j set when pattern j binds
+    that node in that graph, so the larger patterns whose bits survive the
+    AND of those masks over every node of every instance of p are exactly
+    the ones whose instance in each of p's graphs contains p's. p is kept
+    when none survives; with no instances, when no larger pattern exists.
+    Kept patterns stay in input order.
     """
     def bulk(record: PatternRecord) -> tuple[int, int]:
         return (record.size,
                 len(record.graph.edges) + len(record.graph.map_edges))
 
-    node_sets = [
-        [(gid, sum(1 << node for node in binding))
-         for gid, binding in record.instances]
-        for record in patterns
-    ]
     holders: dict[tuple[str, int], int] = {}
     same_bulk: dict[tuple[int, int], int] = {}
     for j, record in enumerate(patterns):
         bit = 1 << j
-        for key in {(gid, node) for gid, binding in record.instances
-                    for node in binding}:
-            holders[key] = holders.get(key, 0) | bit
+        for gid, binding in record.instances:
+            for node in binding:
+                holders[gid, node] = holders.get((gid, node), 0) | bit
         rank = bulk(record)
         same_bulk[rank] = same_bulk.get(rank, 0) | bit
     larger: dict[tuple[int, int], int] = {}
@@ -485,22 +482,14 @@ def filter_maximal(patterns: list[PatternRecord]) -> list[PatternRecord]:
         above |= same_bulk[rank]
 
     keep = []
-    for i, record in enumerate(patterns):
-        candidates = larger[bulk(record)]
+    for record in patterns:
+        dominators = larger[bulk(record)]
         for gid, binding in record.instances:
-            if not candidates:
+            if not dominators:
                 break
             for node in binding:
-                candidates &= holders[gid, node]
-        while candidates:
-            low = candidates & -candidates
-            covering = node_sets[low.bit_length() - 1]
-            if all(any(gid == o_gid and nodes & o_nodes == nodes
-                       for o_gid, o_nodes in covering)
-                   for gid, nodes in node_sets[i]):
-                break
-            candidates ^= low
-        if not candidates:
+                dominators &= holders[gid, node]
+        if not dominators:
             keep.append(record)
     return keep
 

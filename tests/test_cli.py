@@ -83,12 +83,14 @@ def test_mine_with_unreachable_repo_warns_but_succeeds(tmp_path, small_repo, cap
         dict.fromkeys(("warnings", *REPO_COUNTERS), 0)
 
 
-def test_patterns_schema_mismatch_exits_one(tmp_path):
+def test_patterns_schema_mismatch_exits_one(tmp_path, capsys):
     store = ChangeGraphStore(tmp_path / "store")
     store.root.mkdir()
+    (store.root / "records.jsonl").write_text("")
     (store.root / "manifest.json").write_text('{"schema_version": 99}')
     assert main(["patterns", "--store", str(store.root),
                  "--out", str(tmp_path / "patterns")]) == 1
+    assert "store schema version 99 does not match" in capsys.readouterr().err
 
 
 def test_patterns_reports_a_missing_store_and_creates_nothing(tmp_path, capsys):
@@ -97,6 +99,60 @@ def test_patterns_reports_a_missing_store_and_creates_nothing(tmp_path, capsys):
                  "--out", str(tmp_path / "typo" / "pat")]) == 1
     assert capsys.readouterr().err == f"error: no change-graph store at {missing}\n"
     assert not (tmp_path / "typo").exists()
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("out", ["./store", "other"])
+def test_patterns_refuses_to_write_into_a_store(tmp_path, small_repo, capsys,
+                                                 monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    listing = write_repos(tmp_path, [f"r1 {small_repo}"])
+    for name in ("store", "other"):
+        main(["mine", "--repos", listing, "--out", name])
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(["patterns", "--store", "store", "--out", out]) == 1
+    assert capsys.readouterr().err == \
+        f"error: --out {out} holds a change-graph store\n"
+    assert _tree_bytes(tmp_path) == before
+
+
+def test_patterns_reports_a_pattern_set_given_as_store(tmp_path, small_repo,
+                                                        capsys):
+    listing = write_repos(tmp_path, [f"r1 {small_repo}"])
+    main(["mine", "--repos", listing, "--out", str(tmp_path / "store")])
+    main(["patterns", "--store", str(tmp_path / "store"),
+          "--out", str(tmp_path / "patterns")])
+    capsys.readouterr()
+    assert main(["patterns", "--store", str(tmp_path / "patterns"),
+                 "--out", str(tmp_path / "again")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == \
+        f"error: no change-graph store at {tmp_path / 'patterns'}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "again").exists()
+
+
+@pytest.mark.parametrize("target", ["typo", "store"])
+@pytest.mark.parametrize("command", [
+    ["report", "--format", "html", "--out", "r"],
+    ["report", "--format", "dot", "--out", "r"],
+    ["stats"],
+])
+def test_report_and_stats_refuse_a_path_without_a_pattern_set(
+        tmp_path, monkeypatch, capsys, command, target):
+    monkeypatch.chdir(tmp_path)
+    ChangeGraphStore("store").finalize({}, {})
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*command, "--patterns", target]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: no pattern set at {target}\n"
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_patterns_prints_summary_line(tmp_path, small_repo, capsys):

@@ -450,8 +450,7 @@ def _record_with(size: int, instances, edges: int = 0) -> PatternRecord:
         graph=PatternGraph(tuple(sig for _ in range(size)),
                            frozenset((0, 1, "Data", f"l{k}") for k in range(edges)),
                            frozenset({(0, 0)})),
-        instances=instances, canonical_key=f"k{size}",
-        support=len(instances), project_ids=["r"])
+        instances=instances, canonical_key=f"k{size}", project_ids=["r"])
 
 
 def test_filter_maximal_drops_contained_chain():
@@ -487,15 +486,16 @@ def test_filter_maximal_equal_bulk_never_drops_either():
 
 @st.composite
 def _filter_inputs(draw):
+    """Records with at most one instance per change graph, as ``mine`` keeps."""
     records = []
     for _ in range(draw(st.integers(0, 8))):
         size = draw(st.integers(2, 4))
-        instances = draw(st.lists(
-            st.tuples(st.sampled_from(["g1", "g2", "g3"]),
-                      st.lists(st.integers(0, 5), min_size=size,
-                               max_size=size, unique=True).map(tuple)),
-            min_size=1, max_size=5))
-        records.append(_record_with(size, instances,
+        instances = draw(st.dictionaries(
+            st.sampled_from(["g1", "g2", "g3"]),
+            st.lists(st.integers(0, 5), min_size=size,
+                     max_size=size, unique=True).map(tuple),
+            min_size=1))
+        records.append(_record_with(size, sorted(instances.items()),
                                     edges=draw(st.integers(0, 2))))
     empty = _record_with(draw(st.integers(2, 4)), [],
                          edges=draw(st.integers(0, 2)))
@@ -638,6 +638,23 @@ def random_corpus(seed: int) -> list[CorpusGraph]:
 
 _ORACLE_CFG = MiningConfig(min_size=3, min_freq=2, max_size=6,
                            keep_subpatterns=True)
+
+
+def test_filter_maximal_matches_oracle_on_mined_patterns():
+    # Unfiltered search output: one instance per change graph, as the
+    # filter assumes; the oracle makes no such assumption.
+    total = dominated = 0
+    for seed in range(50):
+        patterns = mine(random_corpus(seed), _ORACLE_CFG).patterns
+        for record in patterns:
+            gids = [gid for gid, _ in record.instances]
+            assert len(gids) == len(set(gids))
+        kept = filter_maximal(patterns)
+        assert ([id(r) for r in kept]
+                == [id(r) for r in brute_force_filter_maximal(patterns)])
+        total += len(patterns)
+        dominated += len(patterns) - len(kept)
+    assert 0 < dominated < total
 
 
 @pytest.mark.parametrize("seed", range(10))
