@@ -4,6 +4,12 @@ Commits are processed independently (optionally in parallel). The store holds
 the records in memory and writes them once, on finalize, sorted by (repo_id,
 commit_hash, file_path, function), so output does not depend on worker count
 and an interrupted run leaves the previous store whole.
+
+``mine`` talks to git through two processes per repository. One ``git log
+--raw`` lists the commits with the raw diff of each against its first parent.
+One ``git cat-file --batch`` then returns the blobs of the modified files, one
+id at a time. A serial run keeps that reader for the whole repository; a pool
+worker opens one per commit. Neither outlives the call that started it.
 """
 
 from __future__ import annotations
@@ -11,10 +17,13 @@ from __future__ import annotations
 import ast
 import json
 import logging
+import os
 import re
 import subprocess
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -69,6 +78,9 @@ class CommitInfo:
     parents: list[str]
     author_email: str
     message: str
+    # Raw diff against the first parent: (status, before blob, after blob,
+    # path) per file, in git's order.
+    changes: list[tuple[str, str, str, str]] = field(default_factory=list)
 
 
 def read_repos_file(path: str | Path) -> list[RepoSpec]:
@@ -95,12 +107,6 @@ def read_repos_file(path: str | Path) -> list[RepoSpec]:
 # ---------------------------------------------------------------------------
 
 
-def _git(repo_path: str, *args: str) -> bytes:
-    result = subprocess.run(["git", "-C", repo_path, *args],
-                            capture_output=True, check=True)
-    return result.stdout
-
-
 def open_repository(spec: RepoSpec, workdir: Path) -> str:
     """Return a local checkout path, cloning remote URLs into workdir."""
     candidate = Path(spec.url_or_path)
@@ -124,21 +130,39 @@ def open_repository(spec: RepoSpec, workdir: Path) -> str:
     raise RepoUnavailable(f"{spec.url_or_path} does not exist")
 
 
+# Header fields are NUL-separated, since a commit message cannot hold NUL.
+# git log is porcelain: the last three flags pin what user config could
+# change (colour, signatures printed into the log, and diff.orderFile).
+_LOG_ARGS = ("log", "--reverse", "--date-order",
+             "--format=%H%x00%P%x00%ae%x00%B", "--raw", "-z", "--no-renames",
+             "--no-abbrev", "--diff-merges=first-parent",
+             "--no-color", "--no-show-signature", f"-O{os.devnull}")
+
+
 def list_commits(repo_path: str) -> list[CommitInfo]:
+    """Every commit from oldest to newest, with its raw diff (``changes``)."""
     try:
-        raw = _git(repo_path, "log", "--reverse", "--date-order",
-                   "--format=%H%x1f%P%x1f%ae%x1f%B%x1e")
+        raw = subprocess.run(["git", "-C", repo_path, *_LOG_ARGS],
+                             capture_output=True, check=True).stdout
     except subprocess.CalledProcessError as exc:
-        raise RepoUnavailable(f"git log failed in {repo_path}") from exc
+        raise RepoUnavailable(f"git log failed in {repo_path}: "
+                              f"{exc.stderr.decode(errors='replace').strip()}") from exc
+    # Each commit is its four header fields, then for each changed file a
+    # ":modes blobs status" field and a path field; the first of these starts
+    # with a newline. Paths are unquoted; blobs are read by id, because a
+    # path that is not UTF-8 does not survive decoding.
+    fields = raw.decode("utf-8", errors="replace").split("\0")[:-1]
     commits = []
-    for record in raw.decode("utf-8", errors="replace").split("\x1e"):
-        record = record.strip("\n")
-        if not record.strip():
-            continue
-        sha, parents, email, message = record.split("\x1f", 3)
-        commits.append(CommitInfo(repo_path, sha.strip(),
-                                  parents.split() if parents.strip() else [],
-                                  email, message.strip()))
+    i = 0
+    while i < len(fields):
+        sha, parents, email, message = fields[i:i + 4]
+        commit = CommitInfo(repo_path, sha, parents.split(), email, message.strip())
+        i += 4
+        while i < len(fields) and fields[i].lstrip("\n").startswith(":"):
+            _, _, before_blob, after_blob, status = fields[i].split()
+            commit.changes.append((status, before_blob, after_blob, fields[i + 1]))
+            i += 2
+        commits.append(commit)
     return commits
 
 
@@ -161,33 +185,112 @@ def _glob_to_regex(pattern: str) -> re.Pattern:
     return re.compile("".join(out) + r"\Z")
 
 
+class GitReadError(subprocess.CalledProcessError):
+    """A blob that ``git cat-file --batch`` did not return."""
+
+    def __str__(self) -> str:
+        return f"{' '.join(self.cmd)}: {self.output}"
+
+
+class BlobReader:
+    """Blob contents by id from one ``git cat-file --batch`` process.
+
+    The process starts at the first read. Each read writes one id and reads
+    its whole answer before the next, so no pipe ever holds more than one
+    blob. A read that fails (a ``missing`` answer, or a reader that died)
+    stops the process and raises GitReadError; the next read starts another.
+    """
+
+    def __init__(self, repo_path: str):
+        self.repo_path = repo_path
+        self._args = ["git", "-C", repo_path, "cat-file", "--batch"]
+        self._proc: subprocess.Popen | None = None
+
+    def __enter__(self) -> BlobReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def read(self, blob_id: str) -> bytes:
+        if self._proc is None:
+            self._proc = subprocess.Popen(self._args, stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE,
+                                          stderr=subprocess.DEVNULL)
+        proc = self._proc
+        try:
+            proc.stdin.write(blob_id.encode("ascii") + b"\n")
+            proc.stdin.flush()
+            answer = proc.stdout.readline()
+        except BrokenPipeError:  # the reader died
+            answer = b""
+        header = answer.split()
+        if len(header) == 3 and header[1] == b"blob":
+            size = int(header[2])
+            data = proc.stdout.read(size + 1)
+            if len(data) == size + 1 and data.endswith(b"\n"):
+                return data[:-1]
+        proc.kill()
+        self.close()
+        reason = answer.decode(errors="replace").strip() or "reader exited"
+        raise GitReadError(proc.returncode, self._args,
+                           output=f"no blob {blob_id} ({reason})")
+
+    def close(self) -> None:
+        """End the process, if one is running, and wait for it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdin.close()  # end of input: cat-file exits
+        except OSError:
+            pass
+        proc.stdout.close()
+        proc.wait()
+
+
+# The reader that ``pair_modified_files`` uses inside a ``blob_reader`` block.
+_ACTIVE_READER: ContextVar[BlobReader | None] = ContextVar("blob_reader",
+                                                          default=None)
+
+
+@contextmanager
+def blob_reader(repo_path: str):
+    """The reader of the enclosing block for repo_path, or one for this block."""
+    active = _ACTIVE_READER.get()
+    if active is not None and active.repo_path == repo_path:
+        yield active
+        return
+    with BlobReader(repo_path) as reader:
+        token = _ACTIVE_READER.set(reader)
+        try:
+            yield reader
+        finally:
+            _ACTIVE_READER.reset(token)
+
+
 def pair_modified_files(commit: CommitInfo,
                         filt: CommitFilter) -> list[tuple[str, str, str]]:
     """(before_text, after_text, path) for each modified file matching the glob.
 
     Renames are disabled in the diff so they surface as delete+add and drop
     out; commits touching more files than the cap are skipped entirely.
+    Raises GitReadError when a blob cannot be read.
     """
-    # -z: each entry is ":modes blobs status" and then its path, NUL-separated
-    # and unquoted. Blobs are read by id: a path that is not UTF-8 does not
-    # survive decoding.
-    raw = _git(commit.repo_path, "diff-tree", "-r", "-z", "--no-renames",
-               commit.parents[0], commit.hash)
-    fields = raw.decode("utf-8", errors="replace").split("\0")[:-1]
-    entries = [(meta.split(), path) for meta, path in zip(fields[0::2], fields[1::2])]
-    if len(entries) > filt.max_files_per_commit:
+    if len(commit.changes) > filt.max_files_per_commit:
         log.info("skipping %s: %d files exceeds cap %d",
-                 commit.hash[:8], len(entries), filt.max_files_per_commit)
+                 commit.hash[:8], len(commit.changes), filt.max_files_per_commit)
         return []
     matcher = _glob_to_regex(filt.path_glob)
     pairs = []
-    for (_, _, before_blob, after_blob, status), path in entries:
-        if status != "M" or not matcher.match(path):
-            continue
-        before = _git(commit.repo_path, "cat-file", "blob", before_blob)
-        after = _git(commit.repo_path, "cat-file", "blob", after_blob)
-        pairs.append((before.decode("utf-8", errors="replace"),
-                      after.decode("utf-8", errors="replace"), path))
+    with blob_reader(commit.repo_path) as blobs:
+        for status, before_blob, after_blob, path in commit.changes:
+            if status != "M" or not matcher.match(path):
+                continue
+            before = blobs.read(before_blob)
+            after = blobs.read(after_blob)
+            pairs.append((before.decode("utf-8", errors="replace"),
+                          after.decode("utf-8", errors="replace"), path))
     return pairs
 
 
@@ -446,7 +549,8 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
         with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
             results = list(pool.map(_commit_job, job_args))
     else:
-        results = [_commit_job(args) for args in job_args]
+        with blob_reader(repo_path):
+            results = [_commit_job(args) for args in job_args]
     for records, commit_warnings, commit_roots, commit_counts in results:
         for record in records:
             store.append(record)

@@ -17,14 +17,19 @@ normalized-tree converter as it was before it became one table: a function
 per syntax kind. The fourth is the tree matcher's bottom-up phase as it was
 before it scored each container in one pass: ``dice`` rescans a candidate's
 descendants for every candidate, and ``reference_map_asts`` runs the
-engine's other phases around it.
+engine's other phases around it. The fifth is the git plumbing as it was
+before ``git log --raw`` listed each commit's changes and one ``git cat-file
+--batch`` read the blobs: ``reference_pair_modified_files`` runs one ``git
+diff-tree`` per commit and one ``git cat-file blob`` per side of each file.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
 from dataclasses import dataclass
 
+from changeminer.history import CommitFilter, CommitInfo, _glob_to_regex
 from changeminer.mapping import (DICE_THRESHOLD, TreeMapping,
                                  _match_top_down, _recover_leaves, _TreeIndex)
 from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
@@ -935,3 +940,37 @@ def reference_map_asts(before: AstNode, after: AstNode) -> TreeMapping:
     while _recover_leaves(t1, t2, mapping):
         reference_match_bottom_up(t1, t2, mapping)
     return mapping
+
+
+# ---------------------------------------------------------------------------
+# Per-file git plumbing
+# ---------------------------------------------------------------------------
+
+
+def _git(repo_path: str, *args: str) -> bytes:
+    result = subprocess.run(["git", "-C", repo_path, *args],
+                            capture_output=True, check=True)
+    return result.stdout
+
+
+def reference_pair_modified_files(commit: CommitInfo, filt: CommitFilter
+                                  ) -> list[tuple[str, str, str]]:
+    """``pair_modified_files`` from a diff-tree against the first parent."""
+    # -z: each entry is ":modes blobs status" and then its path, NUL-separated
+    # and unquoted.
+    raw = _git(commit.repo_path, "diff-tree", "-r", "-z", "--no-renames",
+               commit.parents[0], commit.hash)
+    fields = raw.decode("utf-8", errors="replace").split("\0")[:-1]
+    entries = [(meta.split(), path) for meta, path in zip(fields[0::2], fields[1::2])]
+    if len(entries) > filt.max_files_per_commit:
+        return []
+    matcher = _glob_to_regex(filt.path_glob)
+    pairs = []
+    for (_, _, before_blob, after_blob, status), path in entries:
+        if status != "M" or not matcher.match(path):
+            continue
+        before = _git(commit.repo_path, "cat-file", "blob", before_blob)
+        after = _git(commit.repo_path, "cat-file", "blob", after_blob)
+        pairs.append((before.decode("utf-8", errors="replace"),
+                      after.decode("utf-8", errors="replace"), path))
+    return pairs

@@ -6,6 +6,7 @@ import logging
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -15,8 +16,8 @@ import pytest
 from changeminer import history
 from changeminer.changegraph import Provenance
 from changeminer.cli import main as cli_main
-from changeminer.history import (ChangeGraphStore, CommitFilter, CommitInfo,
-                                 RepoSpec, RepoUnavailable,
+from changeminer.history import (BlobReader, ChangeGraphStore, CommitFilter,
+                                 CommitInfo, RepoSpec, RepoUnavailable,
                                  change_graph_for_pair,
                                  list_commits, match_functions,
                                  mine_repository, module_path_for,
@@ -26,6 +27,7 @@ from changeminer.pdg import UnsupportedConstruct
 from changeminer.source import (MAX_NESTING, _nesting, build_import_table,
                                 extract_functions, parse_module)
 
+from _oracle import reference_pair_modified_files
 from gitrepos import commit_files, git, init_repo, merge_branches
 
 COPY_BEFORE = (
@@ -143,6 +145,143 @@ def test_rename_treated_as_delete_plus_add(tmp_path):
     git(repo, "commit", "-q", "-m", "rename file")
     commits = list_commits(str(repo))
     assert pair_modified_files(commits[1], CommitFilter()) == []
+
+
+def test_separator_bytes_and_blank_lines_in_messages_are_kept(tmp_path):
+    # Header fields split on \x1e and \x1f once cut this history short:
+    # `mine` stopped with "not enough values to unpack" and wrote no store.
+    messages = ["rename g\x1eto h",
+                "unit\x1fseparator\n\nbody with \x1e and \x1f\n\nlast paragraph"]
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {"mod.py": "def f():\n    return g(1)\n"}, "initial")
+    commit_files(repo, {"mod.py": "def f():\n    return h(1)\n"}, messages[0])
+    commit_files(repo, {"mod.py": "def f():\n    return k(1)\n"}, messages[1])
+    commits = list_commits(str(repo))
+    assert [c.message for c in commits] == ["initial", *messages]
+    assert [c.parents for c in commits[1:]] == [[commits[0].hash], [commits[1].hash]]
+    listing = tmp_path / "repos.txt"
+    listing.write_text(f"r1 {repo}\n")
+    assert cli_main(["mine", "--repos", str(listing),
+                     "--out", str(tmp_path / "store")]) == 0
+    records = ChangeGraphStore(tmp_path / "store").iter_records()
+    assert sorted(r["provenance"]["commit_message"] for r in records) == \
+        sorted(messages)
+
+
+def test_pairs_match_the_per_file_plumbing(tmp_path):
+    repo = init_repo(tmp_path / "repo")
+    latin1 = repo / os.fsdecode(b"pkg/caf\xe9.py")  # not UTF-8
+    (repo / "pkg").mkdir()
+    latin1.write_text("def h():\n    return 1\n")
+    commit_files(repo, {"pkg/a.py": "def f():\n    return a(1)\n",
+                        "pkg/sub/deep.py": "def d():\n    return d(1)\n",
+                        "gone.py": "def g():\n    return 1\n",
+                        "old_name.py": "def o():\n    return 1\n",
+                        "mode.py": "def m():\n    return 1\n",
+                        "notes.txt": "one\n"}, "initial")
+    latin1.write_text("def h():\n    return 2\n")
+    (repo / "gone.py").unlink()
+    git(repo, "mv", "old_name.py", "new_name.py")
+    os.chmod(repo / "mode.py", 0o755)
+    edits = commit_files(repo, {"pkg/a.py": "def f():\n    return b(1)\n",
+                                "pkg/sub/deep.py": "def d():\n    return e(1)\n",
+                                "notes.txt": "two\n",
+                                "added.py": "def n():\n    return 1\n"}, "edits")
+    git(repo, "commit", "-q", "--allow-empty", "-m", "nothing")
+    merge = merge_branches(repo, {"pkg/sub/deep.py": "def d():\n    return f(1)\n"},
+                           {"pkg/a.py": "def f():\n    return c(1)\n",
+                            "notes.txt": "three\n"})
+    # git log reads diff.orderFile from user config; diff-tree does not.
+    (tmp_path / "order").write_text("pkg/sub/deep.py\n")
+    git(repo, "config", "diff.orderFile", str(tmp_path / "order"))
+    commits = list_commits(str(repo))
+    by_hash = {c.hash: c for c in commits}
+    assert [p for _, _, p in pair_modified_files(by_hash[edits], CommitFilter())] == \
+        ["mode.py", "pkg/a.py", "pkg/caf\ufffd.py", "pkg/sub/deep.py"]
+    assert len(by_hash[merge].parents) == 2
+    filters = [CommitFilter(), CommitFilter(max_files_per_commit=4),
+               CommitFilter(path_glob="**/*")]
+    for commit in commits[1:]:
+        for filt in filters:
+            assert pair_modified_files(commit, filt) == \
+                reference_pair_modified_files(commit, filt), (commit.message, filt)
+    store, _ = mine_into(tmp_path, repo, CommitFilter(skip_merges=False))
+    assert (merge, "pkg/a.py") in {(r["provenance"]["commit_hash"],
+                                    r["provenance"]["file_path"])
+                                   for r in store.iter_records()}
+
+
+def test_a_missing_blob_fails_only_its_commit(tmp_path, caplog):
+    repo = init_repo(tmp_path / "repo")
+    commit_files(repo, {f"{name}.py": f"def f():\n    return {name}_one(1)\n"
+                        for name in "abc"}, "initial")
+    hashes = [commit_files(repo, {f"{name}.py":
+                                  f"def f():\n    return {name}_two(1)\n"},
+                           f"edit {name}") for name in "abc"]
+    blob = git(repo, "rev-parse", f"{hashes[1]}:b.py").strip()
+    (repo / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    listing = tmp_path / "repos.txt"
+    listing.write_text(f"r1 {repo}\n")
+    with caplog.at_level(logging.WARNING, logger="changeminer.history"):
+        assert cli_main(["mine", "--repos", str(listing),
+                         "--out", str(tmp_path / "store")]) == 0
+    [warning] = [r.getMessage() for r in caplog.records]
+    assert f"{hashes[1][:8]}: git failure (" in warning and blob in warning
+    store = ChangeGraphStore(tmp_path / "store")
+    assert [r["provenance"]["commit_hash"] for r in store.iter_records()] == \
+        sorted([hashes[0], hashes[2]])
+    assert store.manifest()["repos"]["r1"]["warnings"] == 1
+
+
+def test_a_reader_that_died_fails_one_read_and_the_next_starts_another(copy_repo):
+    blob = git(copy_repo, "rev-parse", "HEAD:mod.py").strip()
+    with BlobReader(str(copy_repo)) as reader:
+        assert reader.read(blob) == COPY_AFTER.encode()
+        reader._proc.kill()
+        reader._proc.wait()
+        with pytest.raises(subprocess.CalledProcessError, match="reader exited"):
+            reader.read(blob)
+        assert reader.read(blob) == COPY_AFTER.encode()
+
+
+def test_a_commit_of_2000_files_is_read_through_one_reader(tmp_path):
+    # 4 000 ids are more than a 64 KiB pipe holds.
+    repo = init_repo(tmp_path / "repo")
+    files = {f"pkg/m{i}.py": f"X = {i}\n" for i in range(2000)}
+    commit_files(repo, files, "initial")
+    commit_files(repo, {path: text.replace("=", "= 1 +")
+                        for path, text in files.items()}, "edit all")
+    commit = list_commits(str(repo))[1]
+    result = []
+    worker = threading.Thread(target=lambda: result.append(pair_modified_files(
+        commit, CommitFilter(max_files_per_commit=2000))), daemon=True)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    [pairs] = result
+    assert sorted(pairs, key=lambda p: int(p[2][5:-3])) == [
+        (f"X = {i}\n", f"X = 1 + {i}\n", f"pkg/m{i}.py") for i in range(2000)]
+
+
+def test_a_serial_mine_starts_two_git_processes_and_leaves_none(tmp_path,
+                                                               monkeypatch):
+    repo = init_repo(tmp_path / "repo")
+    for i in range(12):
+        commit_files(repo, {"mod.py": f"def f():\n    return g{i}(1)\n"},
+                     f"call g{i}")
+    started = []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, args, *rest, **kwargs):
+            super().__init__(args, *rest, **kwargs)
+            if args[0] == "git":
+                started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    _, info = mine_into(tmp_path, repo)
+    assert info["graphs"] == 11
+    assert len(started) <= 2
+    assert all(proc.poll() is not None for proc in started)
 
 
 def test_match_functions_by_qualified_name():
@@ -465,6 +604,13 @@ def test_unavailable_repo_raises(tmp_path):
     with pytest.raises(RepoUnavailable):
         mine_repository(RepoSpec(str(tmp_path / "missing"), "nope"),
                         CommitFilter(), store)
+
+
+def test_a_failed_git_log_names_gits_error(tmp_path, monkeypatch):
+    monkeypatch.setenv("LC_ALL", "C")
+    repo = init_repo(tmp_path / "repo")
+    with pytest.raises(RepoUnavailable, match="does not have any commits"):
+        list_commits(str(repo))
 
 
 def test_read_repos_file(tmp_path):
