@@ -9,6 +9,7 @@ each accept only their own.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import sys
@@ -142,6 +143,20 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    # What mining builds for a commit holds no reference cycle, so reference
+    # counting frees it when the commit is done and the cycle collector would
+    # only re-scan the live store. Pool workers fork with it off as well.
+    # (tests/test_history.py::test_mining_a_commit_leaves_no_cyclic_garbage)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _mine(args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _mine(args: argparse.Namespace) -> int:
     values = _merged(args)
     jobs = values.pop("jobs")
     if jobs < 1:

@@ -10,6 +10,10 @@ and an interrupted run leaves the previous store whole.
 One ``git cat-file --batch`` then returns the blobs of the modified files, one
 id at a time. A serial run keeps that reader for the whole repository; a pool
 worker opens one per commit. Neither outlives the call that started it.
+
+What a commit's job builds holds no reference cycle: reference counting frees
+it when the job returns, which lets the ``mine`` command run with the cycle
+collector off.
 """
 
 from __future__ import annotations
@@ -337,7 +341,9 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
         except (SyntaxError, RecursionError, ValueError) as exc:
             # ast.parse refuses a file too deep for it with RecursionError
             # (3.11 on) and a NUL byte with ValueError (3.10).
-            reason = exc.msg if isinstance(exc, SyntaxError) else exc
+            # A str, not the exception: a local holding it would close a
+            # cycle through its traceback, which holds this frame.
+            reason = exc.msg if isinstance(exc, SyntaxError) else str(exc)
             warnings.append(f"{commit.hash[:8]} {path}: parse failure ({reason})")
             counts["parse_failures"] += 1
             continue

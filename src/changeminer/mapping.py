@@ -75,7 +75,7 @@ class TreeMapping:
 
 
 class _TreeIndex:
-    """Per-tree tables keyed by node, built in one pass over the preorder.
+    """Per-tree tables keyed by node, built from the preorder.
 
     A node's subtree is ``order[index:end]`` and its descendants are
     ``order[index + 1:end]``, so "is a descendant of" is a range test on
@@ -84,7 +84,8 @@ class _TreeIndex:
     from 1 to the root's has nodes. A ``fingerprint`` is the int that
     ``interned``, a table the trees being compared share, assigns to the
     node's kind, label and children's fingerprints: equal fingerprints mean
-    equal subtrees, exactly.
+    equal subtrees, exactly. ``parent`` maps each node but the root to its
+    parent, since tree nodes keep no parent link.
     """
 
     def __init__(self, root: AstNode, interned: dict[tuple, int]):
@@ -93,6 +94,8 @@ class _TreeIndex:
         self.end: dict[AstNode, int] = {}
         self.height: dict[AstNode, int] = {}
         self.fingerprint: dict[AstNode, int] = {}
+        self.parent: dict[AstNode, AstNode] = {
+            child: node for node in self.order for child in node.children}
         self.by_height: dict[int, list[AstNode]] = {}
         # Backwards through the preorder, so children come before parents.
         for i in range(len(self.order) - 1, -1, -1):
@@ -176,12 +179,12 @@ def _match_bottom_up(t1: _TreeIndex, t2: _TreeIndex,
             if partner is None:
                 continue
             partners.append(t2.index[partner])
-            anc = partner.parent
+            anc = t2.parent.get(partner)
             while anc is not None and anc not in seen:
                 seen.add(anc)
                 if anc.kind == node_b.kind and not mapping.has_after(anc):
                     candidates.append(anc)
-                anc = anc.parent
+                anc = t2.parent.get(anc)
         partners.sort()
         size_b = t1.end[node_b] - t1.index[node_b] - 1
         ranked = []

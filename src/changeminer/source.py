@@ -62,16 +62,17 @@ class AstNode:
     ``kind`` is a closed syntactic category ("Assign", "Call", "Literal", ...),
     ``label`` carries the identifier / lexeme / operator text where one exists,
     ``span`` is (start_line, start_col, end_line, end_col) in file coordinates.
+    A node has no link to its parent, so a tree holds no reference cycle and
+    is freed by reference counting alone; ``mapping._TreeIndex`` keeps a
+    parent table for the tree it indexes.
     """
 
     kind: str
     label: str = ""
     children: list["AstNode"] = field(default_factory=list)
     span: Span = (0, 0, 0, 0)
-    parent: "AstNode | None" = field(default=None, repr=False)
 
     def add(self, child: "AstNode") -> "AstNode":
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -226,9 +227,15 @@ def _parse_in_fresh_thread(text: str) -> ast.Module:
     thread = threading.Thread(target=run)
     thread.start()
     thread.join()
-    [result] = outcome
+    result = outcome.pop()
     if isinstance(result, BaseException):
-        raise result
+        # The traceback holds this frame and run's, whose locals would lead
+        # back to the exception: emptying ``outcome`` and dropping ``result``
+        # leaves reference counting able to free it.
+        try:
+            raise result
+        finally:
+            del result
     return result
 
 
@@ -477,10 +484,9 @@ _TABLE = {
 
 
 def _finish(node: AstNode, fallback: Span) -> Span:
-    """Set parents and widen spans so every child span nests in its parent."""
+    """Widen spans so every child span nests in its parent's."""
     span = node.span if node.span != (0, 0, 0, 0) else fallback
     for child in node.children:
-        child.parent = node
         child_span = _finish(child, span)
         span = (
             min(span[0], child_span[0]),
@@ -527,27 +533,30 @@ def extract_functions(module: ast.Module, module_path: str) -> list[FunctionUnit
     statement lists are walked, since only they hold defs.
     """
     units: list[FunctionUnit] = []
-    name_counts: dict[str, int] = {}
-
-    def disambiguate(name: str) -> str:
-        count = name_counts.get(name, 0) + 1
-        name_counts[name] = count
-        return name if count == 1 else f"{name}#{count}"
-
-    def walk(node: ast.AST, prefix: str) -> None:
-        for stmt in _child_statements(node):
-            if isinstance(stmt, _DEFS):
-                raw_name = f"{prefix}.{stmt.name}" if prefix else stmt.name
-                qualified = disambiguate(raw_name)
-                units.append(FunctionUnit(qualified, stmt, module.lines))
-                walk(stmt, qualified)
-            elif isinstance(stmt, ast.ClassDef):
-                walk(stmt, f"{prefix}.{stmt.name}" if prefix else stmt.name)
-            else:
-                walk(stmt, prefix)
-
-    walk(module, module_path)
+    _collect_units(module, module_path, module.lines, units, {})
     return units
+
+
+def _collect_units(node: ast.AST, prefix: str, lines: list[str],
+                   units: list[FunctionUnit], name_counts: dict[str, int]) -> None:
+    """Append a unit for each def under ``node``, in preorder.
+
+    A module-level function, not one nested in ``extract_functions``: that
+    one would refer to itself through its closure, which holds the units and
+    so the module's tree, and leave them all as cyclic garbage.
+    """
+    for stmt in _child_statements(node):
+        if isinstance(stmt, _DEFS):
+            name = f"{prefix}.{stmt.name}" if prefix else stmt.name
+            count = name_counts[name] = name_counts.get(name, 0) + 1
+            qualified = name if count == 1 else f"{name}#{count}"
+            units.append(FunctionUnit(qualified, stmt, lines))
+            _collect_units(stmt, qualified, lines, units, name_counts)
+        elif isinstance(stmt, ast.ClassDef):
+            _collect_units(stmt, f"{prefix}.{stmt.name}" if prefix else stmt.name,
+                           lines, units, name_counts)
+        else:
+            _collect_units(stmt, prefix, lines, units, name_counts)
 
 
 def _prune_nested(def_node: AstNode) -> AstNode:

@@ -901,14 +901,14 @@ def _container_candidates(node_b: AstNode, t1: _TreeIndex, t2: _TreeIndex,
         counterpart = mapping.after_of(desc)
         if counterpart is None:
             continue
-        anc = counterpart.parent
+        anc = t2.parent.get(counterpart)
         while anc is not None:
             if anc in seen:
                 break
             seen.add(anc)
             if anc.kind == node_b.kind and not mapping.has_after(anc):
                 out.append(anc)
-            anc = anc.parent
+            anc = t2.parent.get(anc)
     return out
 
 

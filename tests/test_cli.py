@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import gc
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from changeminer import mapping, mining, source
+from changeminer import cli, history, mapping, mining, source
 from changeminer.cli import main, read_config_file
 from changeminer.history import REPO_COUNTERS, ChangeGraphStore
 from changeminer.report import load_pattern_dir
@@ -64,6 +65,32 @@ def test_mine_missing_repos_file_exits_one(tmp_path):
 def test_mine_empty_repos_file_exits_one(tmp_path):
     listing = write_repos(tmp_path, ["# nothing here"])
     assert main(["mine", "--repos", listing, "--out", str(tmp_path / "store")]) == 1
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_mine_leaves_the_cycle_collector_as_it_found_it(tmp_path, small_repo,
+                                                       monkeypatch, enabled):
+    during = []
+
+    def mine_repository(*args):
+        during.append(gc.isenabled())
+        return history.mine_repository(*args)
+
+    monkeypatch.setattr(cli, "mine_repository", mine_repository)
+    good = write_repos(tmp_path, [f"good {small_repo}"])
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing here\n")
+    (gc.enable if enabled else gc.disable)()
+    try:
+        # A success, a refused repos file and a ValueError raised in the command.
+        for listing, extra, status in ((good, [], 0), (str(empty), [], 1),
+                                       (good, ["--jobs", "0"], 1)):
+            assert main(["mine", "--repos", listing, *extra,
+                         "--out", str(tmp_path / "store")]) == status
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert during == [False]
 
 
 def test_mine_with_unreachable_repo_warns_but_succeeds(tmp_path, small_repo, capsys):

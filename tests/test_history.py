@@ -28,6 +28,7 @@ from changeminer.source import (MAX_NESTING, _nesting, build_import_table,
                                 extract_functions, parse_module)
 
 from _oracle import reference_pair_modified_files
+from cyclegarbage import garbage_per_commit
 from gitrepos import commit_files, git, init_repo, merge_branches
 
 COPY_BEFORE = (
@@ -713,3 +714,47 @@ def test_parser_warnings_are_counted_not_printed(tmp_path):
     info = ChangeGraphStore(tmp_path / "store").manifest()["repos"]["r1"]
     # One warning in the before revision, two in the after one.
     assert (info["syntax_warnings"], info["graphs"]) == (3, 1)
+
+
+@pytest.fixture(scope="module")
+def garbage_repo(tmp_path_factory):
+    """One commit per case that mining a commit must free without the collector."""
+    repo = init_repo(tmp_path_factory.mktemp("garbage") / "repo")
+    imports = ("from os import path as p\n\n"
+               "def uses(x):\n    return p.join(x, 'a')\n\n"
+               "def reformatted(x):\n    return x+1\n")
+    commit_files(repo, {"mod.py": COPY_BEFORE, "imports.py": imports,
+                        "gen.py": "def gen():\n    yield 1\n",
+                        "bad.py": "def ok():\n    return 1\n",
+                        "deep.py": "def g():\n    return 1\n"}, "initial")
+    commit_files(repo, {"mod.py": COPY_AFTER}, "a changed pair")
+    commit_files(repo, {"imports.py": imports.replace("from os import path",
+                                                      "import posixpath")
+                        .replace("x+1", "x + 1")}, "rebind an import")
+    commit_files(repo, {"gen.py": "def gen():\n    yield 2\n"}, "unsupported")
+    commit_files(repo, {"bad.py": "def ok(:\n    return 1\n"}, "syntax error")
+    # Too deep for the parser from 3.11 on, even in a fresh thread.
+    commit_files(repo, {"deep.py": "x = " + "a + " * 20000 + "1\n"}, "too deep")
+    return repo
+
+
+def test_mining_a_commit_leaves_no_cyclic_garbage(garbage_repo):
+    # With no cycle, reference counting frees what a commit's job built, so
+    # ``mine`` can run with the cycle collector off.
+    assert garbage_per_commit(str(garbage_repo)) == {"reader": [0] * 5,
+                                                     "worker": [0] * 5}
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_mining_leaves_no_cyclic_garbage_under_each_python(garbage_repo, version):
+    # Each version's ast module and parser build their trees differently.
+    pythons = sorted(Path.home().glob(f".pyenv/versions/{version}.*/bin/python"))
+    if not pythons:
+        pytest.skip(f"needs a Python {version} install")
+    tests = Path(__file__).resolve().parent
+    result = subprocess.run(
+        [str(pythons[-1]), str(tests / "cyclegarbage.py"), str(garbage_repo)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(tests.parent / "src")})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"reader": [0] * 5, "worker": [0] * 5}

@@ -212,7 +212,10 @@ def test_isolated_data_nodes_dropped():
 @pytest.mark.parametrize("statement", ["obj.attr += 1", "seq[-1] += x",
                                        "total += x"])
 def test_augmented_assignment_target_yields_one_node(statement):
-    graph = graph_of(f"def f(obj, seq, total, x):\n    {statement}\n")
+    unit, imports = build_unit(f"def f(obj, seq, total, x):\n    {statement}\n")
+    graph = build_fgpdg(unit, imports)
+    parent = {child: node for node in unit.body.preorder()
+              for child in node.children}
     owners: dict[int, set[int]] = {}
     for node in graph.nodes:
         for origin in node.origins:
@@ -220,7 +223,7 @@ def test_augmented_assignment_target_yields_one_node(statement):
     assert all(len(nodes) == 1 for nodes in owners.values())
     binop = find_node(graph, subkind="binop")
     targets = [node for node in graph.nodes
-               if any(o.parent.kind == "AugAssign" and o is o.parent.children[0]
+               if any(parent[o].kind == "AugAssign" and o is parent[o].children[0]
                       for o in node.origins)]
     assert len(targets) == 1
     assert ("Data", "ref") in edges_between(graph, targets[0], binop)

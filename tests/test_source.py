@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from changeminer.mapping import _TreeIndex
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
 from changeminer.source import (_TABLE, UNPARSE_NESTING, build_import_table,
                                 extract_functions, parse_module, parse_source,
@@ -66,11 +67,13 @@ def test_span_containment_everywhere():
         "    return {x: y for x, y in items}\n"
     )
     tree = parse_source(source)
+    parent = _TreeIndex(tree, {}).parent
+    assert tree not in parent
     for node in tree.preorder():
         for child in node.children:
             assert (node.span[0], node.span[1]) <= (child.span[0], child.span[1])
             assert (child.span[2], child.span[3]) <= (node.span[2], node.span[3])
-            assert child.parent is node
+            assert parent[child] is node
 
 
 def test_identifier_and_literal_labels_nonempty():
