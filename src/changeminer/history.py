@@ -8,8 +8,9 @@ and an interrupted run leaves the previous store whole.
 ``mine`` talks to git through two processes per repository. One ``git log
 --raw`` lists the commits with the raw diff of each against its first parent.
 One ``git cat-file --batch`` then returns the blobs of the modified files, one
-id at a time. A serial run keeps that reader for the whole repository; a pool
-worker opens one per commit. Neither outlives the call that started it.
+id at a time. The caller passes that reader to ``pair_modified_files`` and
+``graphs_for_commit``: a serial run opens one for the whole repository, a pool
+job one for its commit. Neither outlives the call that opened it.
 
 What a commit's job builds holds no reference cycle: reference counting frees
 it when the job returns, which lets the ``mine`` command run with the cycle
@@ -18,7 +19,6 @@ collector off.
 
 from __future__ import annotations
 
-import ast
 import json
 import logging
 import os
@@ -26,9 +26,8 @@ import re
 import subprocess
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
@@ -77,7 +76,6 @@ class CommitFilter:
 
 @dataclass
 class CommitInfo:
-    repo_path: str
     hash: str
     parents: list[str]
     author_email: str
@@ -160,7 +158,7 @@ def list_commits(repo_path: str) -> list[CommitInfo]:
     i = 0
     while i < len(fields):
         sha, parents, email, message = fields[i:i + 4]
-        commit = CommitInfo(repo_path, sha, parents.split(), email, message.strip())
+        commit = CommitInfo(sha, parents.split(), email, message.strip())
         i += 4
         while i < len(fields) and fields[i].lstrip("\n").startswith(":"):
             _, _, before_blob, after_blob, status = fields[i].split()
@@ -206,7 +204,6 @@ class BlobReader:
     """
 
     def __init__(self, repo_path: str):
-        self.repo_path = repo_path
         self._args = ["git", "-C", repo_path, "cat-file", "--batch"]
         self._proc: subprocess.Popen | None = None
 
@@ -253,28 +250,8 @@ class BlobReader:
         proc.wait()
 
 
-# The reader that ``pair_modified_files`` uses inside a ``blob_reader`` block.
-_ACTIVE_READER: ContextVar[BlobReader | None] = ContextVar("blob_reader",
-                                                          default=None)
-
-
-@contextmanager
-def blob_reader(repo_path: str):
-    """The reader of the enclosing block for repo_path, or one for this block."""
-    active = _ACTIVE_READER.get()
-    if active is not None and active.repo_path == repo_path:
-        yield active
-        return
-    with BlobReader(repo_path) as reader:
-        token = _ACTIVE_READER.set(reader)
-        try:
-            yield reader
-        finally:
-            _ACTIVE_READER.reset(token)
-
-
-def pair_modified_files(commit: CommitInfo,
-                        filt: CommitFilter) -> list[tuple[str, str, str]]:
+def pair_modified_files(commit: CommitInfo, filt: CommitFilter,
+                        blobs: BlobReader) -> list[tuple[str, str, str]]:
     """(before_text, after_text, path) for each modified file matching the glob.
 
     Renames are disabled in the diff so they surface as delete+add and drop
@@ -287,14 +264,13 @@ def pair_modified_files(commit: CommitInfo,
         return []
     matcher = _glob_to_regex(filt.path_glob)
     pairs = []
-    with blob_reader(commit.repo_path) as blobs:
-        for status, before_blob, after_blob, path in commit.changes:
-            if status != "M" or not matcher.match(path):
-                continue
-            before = blobs.read(before_blob)
-            after = blobs.read(after_blob)
-            pairs.append((before.decode("utf-8", errors="replace"),
-                          after.decode("utf-8", errors="replace"), path))
+    for status, before_blob, after_blob, path in commit.changes:
+        if status != "M" or not matcher.match(path):
+            continue
+        before = blobs.read(before_blob)
+        after = blobs.read(after_blob)
+        pairs.append((before.decode("utf-8", errors="replace"),
+                      after.decode("utf-8", errors="replace"), path))
     return pairs
 
 
@@ -324,7 +300,8 @@ def _function_source(unit: FunctionUnit) -> dict:
             "start_line": unit.line_range[0]}
 
 
-def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
+def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
+                      blobs: BlobReader
                       ) -> tuple[list[dict], list[str], set[str], Counter]:
     """Records, warnings, module roots and REPO_COUNTERS of one commit."""
     records: list[dict] = []
@@ -332,7 +309,7 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter
     roots: set[str] = set()
     counts: Counter = Counter()
     author_hash = hash_email(commit.author_email)
-    for before_text, after_text, path in pair_modified_files(commit, filt):
+    for before_text, after_text, path in pair_modified_files(commit, filt, blobs):
         module_path = module_path_for(path)
         roots.add(module_path.split(".")[0])
         try:
@@ -390,17 +367,25 @@ def _rebound_names(imports_b: ImportTable, imports_a: ImportTable) -> set[str]:
             if before.get(name) != after.get(name)}
 
 
+_IDENTIFIER = re.compile(r"[A-Za-z_]\w*", re.ASCII)
+
+
 def _same_def_text(unit_b: FunctionUnit, unit_a: FunctionUnit,
                    rebound: set[str]) -> bool:
-    """Sufficient for ``_same_body``, read from the text and the raw def.
+    """Sufficient for ``_same_body``, read from the def's text alone.
 
-    Equal def lines parse to equal raw subtrees, so to equal bodies, and the
-    names of the raw def include every name of the pruned body.
+    Equal def lines parse to equal raw subtrees, so to equal bodies, and
+    every name of the body is an identifier of the text. A text that is not
+    ASCII falls through: the parser NFKC-normalizes identifiers, so
+    ``ﬁle``, spelled with the ligature U+FB01, is the name ``file``.
     """
-    if unit_b.source_lines() != unit_a.source_lines():
+    lines = unit_b.source_lines()
+    if lines != unit_a.source_lines():
         return False
-    return not (rebound and any(isinstance(node, ast.Name) and node.id in rebound
-                                for node in ast.walk(unit_b.node)))
+    if not rebound:
+        return True
+    text = "\n".join(lines)
+    return text.isascii() and rebound.isdisjoint(_IDENTIFIER.findall(text))
 
 
 def _same_body(unit_b: FunctionUnit, unit_a: FunctionUnit,
@@ -528,10 +513,15 @@ class ChangeGraphStore:
 # ---------------------------------------------------------------------------
 
 
-def _commit_job(args) -> tuple[list[dict], list[str], set[str], Counter]:
-    spec, commit, filt = args
+def _commit_job(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
+                blobs: BlobReader | None = None
+                ) -> tuple[list[dict], list[str], set[str], Counter]:
+    """One commit's results; a pool job passes no reader and opens its own."""
+    if blobs is None:
+        with BlobReader(spec.url_or_path) as own:
+            return _commit_job(spec, commit, filt, own)
     try:
-        return graphs_for_commit(spec, commit, filt)
+        return graphs_for_commit(spec, commit, filt, blobs)
     except subprocess.CalledProcessError as exc:
         return [], [f"{commit.hash[:8]}: git failure ({exc})"], set(), Counter()
 
@@ -542,21 +532,21 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
     repo_path = open_repository(spec, store.root / "_repos")
     commits = [c for c in list_commits(repo_path)
                if len(c.parents) == 1 or (c.parents and not filt.skip_merges)]
-    job_args = [(RepoSpec(repo_path, spec.repo_id, spec.domain_tag), c, filt)
-                for c in commits]
+    checkout = RepoSpec(repo_path, spec.repo_id, spec.domain_tag)
 
     warnings: list[str] = []
     roots: set[str] = set()
     counts: Counter = Counter()
-    if jobs > 1 and len(job_args) > 1:
+    if jobs > 1 and len(commits) > 1:
         # The pool forks all its workers at the first submit, so it gets no
         # more than there are commits. Chunks of one commit let any idle worker
         # take the next one.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(job_args))) as pool:
-            results = list(pool.map(_commit_job, job_args))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(commits))) as pool:
+            results = list(pool.map(_commit_job, repeat(checkout), commits,
+                                    repeat(filt)))
     else:
-        with blob_reader(repo_path):
-            results = [_commit_job(args) for args in job_args]
+        with BlobReader(repo_path) as blobs:
+            results = [_commit_job(checkout, c, filt, blobs) for c in commits]
     for records, commit_warnings, commit_roots, commit_counts in results:
         for record in records:
             store.append(record)

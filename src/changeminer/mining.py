@@ -196,11 +196,6 @@ def support_of(instances: list[Instance]) -> int:
     return len({gid for gid, _ in instances})
 
 
-def _growth_key_string(key) -> str:
-    attach, rel_kind, rel_label, direction, sig = key
-    return f"{attach:04d}|{rel_kind}|{rel_label}|{direction}|{sig.sig()}"
-
-
 def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
            cfg: MiningConfig) -> list[tuple[PatternGraph, list[Instance]]]:
     """All surviving one-node growths, most frequent first.
@@ -211,6 +206,12 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
     direction seen from the attachment). Once the instance is read, each group
     it joined keeps only the links it shares with that neighbour's full set.
     Only the groups whose members reach ``min_freq`` graphs get a template.
+
+    Groups sort by falling support, then by key, which is also the order of
+    the key joined by ``|`` with ``attach`` in four digits: ``attach`` stays
+    below 10 000, every later field but the last (the node label) comes from
+    a prefix-free vocabulary (edge kinds, edge labels, directions, versions,
+    node kinds, subkinds), so the first field that differs decides both.
     """
     groups: dict[tuple, list[Instance]] = {}
     shared: dict[tuple, set[tuple[int, str, str, str]]] = {}
@@ -236,10 +237,10 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
     for key, members in groups.items():
         support = support_of(members)
         if support >= cfg.min_freq:
-            scored.append((-support, _growth_key_string(key), key, members))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    return [(_grown_template(pattern, key[4], shared[key]), members)
-            for _, _, key, members in scored]
+            scored.append((-support, key))
+    scored.sort()
+    return [(_grown_template(pattern, key[4], shared[key]), groups[key])
+            for _, key in scored]
 
 
 def _grown_template(pattern: PatternGraph, sig: TNode,

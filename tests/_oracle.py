@@ -953,12 +953,12 @@ def _git(repo_path: str, *args: str) -> bytes:
     return result.stdout
 
 
-def reference_pair_modified_files(commit: CommitInfo, filt: CommitFilter
-                                  ) -> list[tuple[str, str, str]]:
+def reference_pair_modified_files(repo_path: str, commit: CommitInfo,
+                                  filt: CommitFilter) -> list[tuple[str, str, str]]:
     """``pair_modified_files`` from a diff-tree against the first parent."""
     # -z: each entry is ":modes blobs status" and then its path, NUL-separated
     # and unquoted.
-    raw = _git(commit.repo_path, "diff-tree", "-r", "-z", "--no-renames",
+    raw = _git(repo_path, "diff-tree", "-r", "-z", "--no-renames",
                commit.parents[0], commit.hash)
     fields = raw.decode("utf-8", errors="replace").split("\0")[:-1]
     entries = [(meta.split(), path) for meta, path in zip(fields[0::2], fields[1::2])]
@@ -969,8 +969,8 @@ def reference_pair_modified_files(commit: CommitInfo, filt: CommitFilter
     for (_, _, before_blob, after_blob, status), path in entries:
         if status != "M" or not matcher.match(path):
             continue
-        before = _git(commit.repo_path, "cat-file", "blob", before_blob)
-        after = _git(commit.repo_path, "cat-file", "blob", after_blob)
+        before = _git(repo_path, "cat-file", "blob", before_blob)
+        after = _git(repo_path, "cat-file", "blob", after_blob)
         pairs.append((before.decode("utf-8", errors="replace"),
                       after.decode("utf-8", errors="replace"), path))
     return pairs

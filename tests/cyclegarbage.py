@@ -21,8 +21,9 @@ from changeminer import history
 def garbage_per_commit(repo_path: str) -> dict[str, list[int]]:
     """Objects found in cycles after each commit's job, in both modes.
 
-    ``reader`` runs the jobs inside one ``blob_reader``, as a serial ``mine``
-    does; ``worker`` runs each without one, as a pool worker does.
+    ``reader`` runs the jobs through one ``BlobReader``, as a serial ``mine``
+    does; ``worker`` runs each without one, so that the job opens its own, as
+    a pool worker's does.
     """
     spec = history.RepoSpec(repo_path, "r1")
     filt = history.CommitFilter()
@@ -32,12 +33,12 @@ def garbage_per_commit(repo_path: str) -> dict[str, list[int]]:
     gc.disable()
     try:
         gc.collect()
-        with history.blob_reader(repo_path):
+        with history.BlobReader(repo_path) as blobs:
             for commit in commits:
-                history._commit_job((spec, commit, filt))
+                history._commit_job(spec, commit, filt, blobs)
                 found["reader"].append(gc.collect())
         for commit in commits:
-            history._commit_job((spec, commit, filt))
+            history._commit_job(spec, commit, filt)
             found["worker"].append(gc.collect())
     finally:
         if enabled:

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import sysconfig
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from changeminer.changegraph import Provenance, build_change_graph, mark_changed
 from changeminer.history import (_rebound_names, _same_body, _same_def_text,
-                                 match_functions, unchanged_pair)
+                                 change_graph_for_pair, match_functions,
+                                 unchanged_pair)
 from changeminer.mapping import map_asts, project_mapping
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
 from changeminer.source import build_import_table, extract_functions, parse_module
@@ -154,6 +156,28 @@ def test_stdlib_functions_diffed_against_themselves_build_no_change_graph():
             assert build_change_graph(*layers, _PROV) is None, \
                 f"{path.name}: {unit_b.qualified_name}"
     assert checked > 100
+
+
+@pytest.mark.parametrize("body, mined", [
+    # The parser NFKC-normalizes identifiers: the call's name is ``file``.
+    ("    return \ufb01le(p)\n", True),
+    # Only the docstring names ``file``; the code never uses it.
+    ('    """Read the file at p."""\n    return open(p).read()\n', False),
+])
+def test_rebound_name_scan_agrees_with_the_no_skip_pipeline(body, mined):
+    # ``file`` is rebound and both def texts are equal, so the text tier
+    # must pass each pair on to the tree tier.
+    unit_b, imports_b = build_unit("from a import file\ndef f(p):\n" + body)
+    unit_a, imports_a = build_unit("from b import file\ndef f(p):\n" + body)
+    assert not _same_def_text(unit_b, unit_a,
+                              _rebound_names(imports_b, imports_a))
+    layers = unit_pipeline(unit_b, imports_b, unit_a, imports_a)
+    assert (build_change_graph(*layers, _PROV) is not None) is mined
+    counts = Counter()
+    graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV,
+                                  counts)
+    assert (graph is not None) is mined
+    assert counts == (Counter() if mined else Counter(pairs_unchanged=1))
 
 
 _PYENV = Path.home() / ".pyenv" / "versions"

@@ -53,6 +53,11 @@ def copy_repo(tmp_path):
     return repo
 
 
+def pairs_of(repo, commit, filt=None):
+    with BlobReader(str(repo)) as blobs:
+        return pair_modified_files(commit, filt or CommitFilter(), blobs)
+
+
 def mine_into(tmp_path, repo, filt=None, name="r1"):
     store = ChangeGraphStore(tmp_path / "store")
     spec = RepoSpec(str(repo), name)
@@ -105,7 +110,7 @@ def test_added_and_nonpython_files_excluded(tmp_path):
                         "notes.txt": "two",
                         "new.py": "def g():\n    return 3\n"}, "second")
     commits = list_commits(str(repo))
-    pairs = pair_modified_files(commits[1], CommitFilter())
+    pairs = pairs_of(repo, commits[1])
     assert [p[2] for p in pairs] == ["a.py"]
 
 
@@ -120,7 +125,7 @@ def test_paths_that_git_quotes_are_kept(tmp_path):
                             "pkg/plain.py": f"def g():\n    return {version}\n"},
                      f"version {version}")
     commits = list_commits(str(repo))
-    pairs = pair_modified_files(commits[1], CommitFilter())
+    pairs = pairs_of(repo, commits[1])
     assert [(p[2], p[1]) for p in pairs] == [
         ("pkg/café.py", "def f():\n    return 2\n"),
         ("pkg/caf\ufffd.py", "def h():\n    return 2\n"),
@@ -135,8 +140,8 @@ def test_commit_over_file_cap_is_skipped_entirely(tmp_path):
                for path, text in files.items()}
     commit_files(repo, changed, "bulk change")
     commits = list_commits(str(repo))
-    assert pair_modified_files(commits[1], CommitFilter(max_files_per_commit=5)) == []
-    assert len(pair_modified_files(commits[1], CommitFilter(max_files_per_commit=6))) == 6
+    assert pairs_of(repo, commits[1], CommitFilter(max_files_per_commit=5)) == []
+    assert len(pairs_of(repo, commits[1], CommitFilter(max_files_per_commit=6))) == 6
 
 
 def test_rename_treated_as_delete_plus_add(tmp_path):
@@ -145,7 +150,7 @@ def test_rename_treated_as_delete_plus_add(tmp_path):
     git(repo, "mv", "old.py", "new.py")
     git(repo, "commit", "-q", "-m", "rename file")
     commits = list_commits(str(repo))
-    assert pair_modified_files(commits[1], CommitFilter()) == []
+    assert pairs_of(repo, commits[1]) == []
 
 
 def test_separator_bytes_and_blank_lines_in_messages_are_kept(tmp_path):
@@ -197,15 +202,17 @@ def test_pairs_match_the_per_file_plumbing(tmp_path):
     git(repo, "config", "diff.orderFile", str(tmp_path / "order"))
     commits = list_commits(str(repo))
     by_hash = {c.hash: c for c in commits}
-    assert [p for _, _, p in pair_modified_files(by_hash[edits], CommitFilter())] == \
+    assert [p for _, _, p in pairs_of(repo, by_hash[edits])] == \
         ["mode.py", "pkg/a.py", "pkg/caf\ufffd.py", "pkg/sub/deep.py"]
     assert len(by_hash[merge].parents) == 2
     filters = [CommitFilter(), CommitFilter(max_files_per_commit=4),
                CommitFilter(path_glob="**/*")]
-    for commit in commits[1:]:
-        for filt in filters:
-            assert pair_modified_files(commit, filt) == \
-                reference_pair_modified_files(commit, filt), (commit.message, filt)
+    with BlobReader(str(repo)) as blobs:
+        for commit in commits[1:]:
+            for filt in filters:
+                assert pair_modified_files(commit, filt, blobs) == \
+                    reference_pair_modified_files(str(repo), commit, filt), \
+                    (commit.message, filt)
     store, _ = mine_into(tmp_path, repo, CommitFilter(skip_merges=False))
     assert (merge, "pkg/a.py") in {(r["provenance"]["commit_hash"],
                                     r["provenance"]["file_path"])
@@ -254,8 +261,8 @@ def test_a_commit_of_2000_files_is_read_through_one_reader(tmp_path):
                         for path, text in files.items()}, "edit all")
     commit = list_commits(str(repo))[1]
     result = []
-    worker = threading.Thread(target=lambda: result.append(pair_modified_files(
-        commit, CommitFilter(max_files_per_commit=2000))), daemon=True)
+    worker = threading.Thread(target=lambda: result.append(pairs_of(
+        repo, commit, CommitFilter(max_files_per_commit=2000))), daemon=True)
     worker.start()
     worker.join(timeout=120)
     assert not worker.is_alive()
@@ -264,12 +271,9 @@ def test_a_commit_of_2000_files_is_read_through_one_reader(tmp_path):
         (f"X = {i}\n", f"X = 1 + {i}\n", f"pkg/m{i}.py") for i in range(2000)]
 
 
-def test_a_serial_mine_starts_two_git_processes_and_leaves_none(tmp_path,
-                                                               monkeypatch):
-    repo = init_repo(tmp_path / "repo")
-    for i in range(12):
-        commit_files(repo, {"mod.py": f"def f():\n    return g{i}(1)\n"},
-                     f"call g{i}")
+@pytest.fixture
+def git_starts(monkeypatch):
+    """The git processes started from here on, in order."""
     started = []
 
     class RecordingPopen(subprocess.Popen):
@@ -279,10 +283,31 @@ def test_a_serial_mine_starts_two_git_processes_and_leaves_none(tmp_path,
                 started.append(self)
 
     monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    return started
+
+
+def test_a_serial_mine_starts_two_git_processes_and_leaves_none(tmp_path,
+                                                               git_starts):
+    repo = init_repo(tmp_path / "repo")
+    for i in range(12):
+        commit_files(repo, {"mod.py": f"def f():\n    return g{i}(1)\n"},
+                     f"call g{i}")
+    git_starts.clear()
     _, info = mine_into(tmp_path, repo)
     assert info["graphs"] == 11
-    assert len(started) <= 2
-    assert all(proc.poll() is not None for proc in started)
+    assert len(git_starts) <= 2
+    assert all(proc.poll() is not None for proc in git_starts)
+
+
+def test_a_pool_job_starts_one_cat_file_and_waits_for_it(copy_repo, git_starts):
+    [commit] = [c for c in list_commits(str(copy_repo)) if c.parents]
+    git_starts.clear()
+    records, warnings, _, _ = history._commit_job(
+        RepoSpec(str(copy_repo), "r1"), commit, CommitFilter())
+    assert len(records) == 1 and warnings == []
+    assert [proc.args[3:] for proc in git_starts] == [["cat-file", "--batch"]]
+    # Set by wait(); nothing here polls the process.
+    assert git_starts[0].returncode is not None
 
 
 def test_match_functions_by_qualified_name():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+import changeminer
 from changeminer.mapping import _TreeIndex
 from changeminer.pdg import UnsupportedConstruct, build_fgpdg
 from changeminer.source import (_TABLE, UNPARSE_NESTING, build_import_table,
@@ -17,6 +18,22 @@ from changeminer.source import (_TABLE, UNPARSE_NESTING, build_import_table,
 import _oracle
 from conftest import FIG2_BEFORE
 from test_history import _from_depth
+
+
+def test_only_source_imports_ast():
+    # ``source`` is the one module that reads Python syntax.
+    importers = []
+    for path in sorted(Path(changeminer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "ast" or m.startswith("ast.") for m in modules):
+                importers.append(path.name)
+    assert importers == ["source.py"]
 
 
 def test_minimal_assignment_shape():
