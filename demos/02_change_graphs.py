@@ -4,7 +4,8 @@ The tree mapper aligns the before/after syntax trees, the alignment is
 projected onto the two dependence graphs, changed nodes are marked, and the
 united graph keeps changed nodes plus one hop of mapped context, with map
 edges tying corresponding nodes together. `change_graph_for_pair` runs those
-steps for one function pair, as `changeminer mine` does for every pair.
+steps for one function pair, as `changeminer mine` does for every pair, and
+returns the record that `mine` stores for it.
 """
 
 from changeminer import (Provenance, build_import_table, change_graph_for_pair,
@@ -40,12 +41,12 @@ prov = Provenance("demo-repo", "deadbeef", "cafebabe", "tags.py",
                   "use update instead of a loop")
 change = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov)
 
-print(f"change graph: {len(change.nodes)} nodes, "
-      f"{len(change.map_edges)} map edges, {len(change.changed)} changed")
-names = {n.id: f"{n.version[:1]}:{n.label}({n.concrete_name or ''})"
-         for n in change.nodes}
-for b, a in change.map_edges:
-    marker = "*" if b in change.changed or a in change.changed else " "
+print(f"change graph: {len(change['nodes'])} nodes, "
+      f"{len(change['map_edges'])} map edges, {len(change['changed'])} changed")
+names = {n["id"]: f"{n['version'][:1]}:{n['label']}({n['concrete_name'] or ''})"
+         for n in change["nodes"]}
+for b, a in change["map_edges"]:
+    marker = "*" if b in change["changed"] or a in change["changed"] else " "
     print(f" {marker} {names[b]} <~~> {names[a]}")
 print("(* = at least one endpoint changed; "
       "the add/update pair is the interesting one)")

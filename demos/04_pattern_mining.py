@@ -9,7 +9,6 @@ from changeminer import (MiningConfig, Provenance, build_import_table,
                          extract_functions, mine, parse_module,
                          structural_category)
 from changeminer.changegraph import hash_email
-from changeminer.history import record_from_graph
 from changeminer.mining import load_corpus
 
 REVISIONS = [
@@ -35,8 +34,7 @@ def change_record(repo, before, after):
     prov = Provenance(repo, "c1" + repo, "c0" + repo, "mod.py",
                       "mod." + unit_b.qualified_name.split(".")[-1],
                       hash_email("dev@example.com"), "switch to deepcopy")
-    graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov)
-    return record_from_graph(graph)
+    return change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, prov)
 
 
 corpus = load_corpus([change_record(*rev) for rev in REVISIONS])

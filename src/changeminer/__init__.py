@@ -6,8 +6,7 @@ nodes into change graphs, then mine frequent change subgraphs seeded at mapped
 function-call pairs.
 """
 
-from .changegraph import (ChangeGraph, Provenance, build_change_graph,
-                          mark_changed)
+from .changegraph import Provenance, build_change_graph, mark_changed
 from .history import (ChangeGraphStore, CommitFilter, RepoSpec,
                       RepoUnavailable, change_graph_for_pair, mine_repository,
                       read_repos_file)
@@ -25,7 +24,7 @@ from .source import (AstNode, FunctionUnit, ImportTable, UnsupportedConstruct,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AstNode", "ChangeGraph", "ChangeGraphStore", "CommitFilter", "FgEdge",
+    "AstNode", "ChangeGraphStore", "CommitFilter", "FgEdge",
     "FgNode", "Fgpdg", "FunctionUnit", "ImportTable", "MiningConfig",
     "Origin", "PatternGraph", "PatternRecord", "PatternSet", "Provenance",
     "RepoSpec", "RepoUnavailable", "StructuralCategory",

@@ -1,11 +1,16 @@
-"""Changed-node detection and assembly of united before/after change graphs."""
+"""Changed-node detection and assembly of united before/after change graphs.
+
+A change graph is built as its store record: the dict that one line of
+``records.jsonl`` holds (see the README's "Output formats"), which ``mine``
+writes and ``patterns`` reads back.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from .pdg import FgEdge, FgNode, Fgpdg
+from .pdg import FgNode, Fgpdg
 
 BEFORE, AFTER = "Before", "After"
 
@@ -27,18 +32,6 @@ class Provenance:
     function: str
     author_email_hash: str
     commit_message: str
-
-
-@dataclass
-class ChangeGraph:
-    """Union of two graph revisions plus map edges between corresponding nodes."""
-
-    nodes: list[FgNode]
-    edges: list[FgEdge]
-    map_edges: list[tuple[int, int]]
-    changed: set[int]
-    provenance: Provenance
-    code: dict = field(default_factory=dict)  # version -> {text, start_line}
 
 
 def mark_changed(g_b: Fgpdg, g_a: Fgpdg,
@@ -79,50 +72,61 @@ def _edge_environments(graph: Fgpdg) -> dict[int, tuple]:
 
 def build_change_graph(g_b: Fgpdg, g_a: Fgpdg,
                        node_mapping: list[tuple[FgNode, FgNode]],
-                       prov: Provenance) -> ChangeGraph | None:
-    """Assemble the united change graph, or None when nothing changed.
+                       prov: Provenance) -> dict | None:
+    """The store record of the united change graph, or None when nothing changed.
 
     Keeps every changed node plus the mapped unchanged nodes one edge away
     from a changed node in their own version, then adds map edges for all
-    retained mapped pairs.
+    retained mapped pairs. The record's ``code`` is empty, for the caller.
     """
     changed_b, changed_a = mark_changed(g_b, g_a, node_mapping)
     if not changed_b and not changed_a:
         return None
 
-    keep_b = _context(g_b, changed_b, {b.id for b, _ in node_mapping})
-    keep_a = _context(g_a, changed_a, {a.id for _, a in node_mapping})
-
-    nodes: list[FgNode] = []
-    remap_b: dict[int, int] = {}
-    remap_a: dict[int, int] = {}
-    for node in g_b.nodes:
-        if node.id in keep_b:
-            remap_b[node.id] = len(nodes)
-            nodes.append(_tagged(node, len(nodes), BEFORE))
-    for node in g_a.nodes:
-        if node.id in keep_a:
-            remap_a[node.id] = len(nodes)
-            nodes.append(_tagged(node, len(nodes), AFTER))
-
-    edges = [FgEdge(remap_b[e.src], remap_b[e.dst], e.kind, e.label)
-             for e in g_b.edges if e.src in keep_b and e.dst in keep_b]
-    edges += [FgEdge(remap_a[e.src], remap_a[e.dst], e.kind, e.label)
-              for e in g_a.edges if e.src in keep_a and e.dst in keep_a]
-    edges.sort(key=lambda e: (e.src, e.dst, e.kind, e.label))
+    nodes: list[dict] = []
+    edges: list[tuple[int, int, str, str]] = []
+    remaps: list[dict[int, int]] = []
+    for graph, changed, mapped, version in (
+            (g_b, changed_b, {b.id for b, _ in node_mapping}, BEFORE),
+            (g_a, changed_a, {a.id for _, a in node_mapping}, AFTER)):
+        keep = _context(graph, changed, mapped)
+        remap: dict[int, int] = {}
+        for node in graph.nodes:
+            if node.id in keep:
+                remap[node.id] = len(nodes)
+                nodes.append({
+                    "id": len(nodes), "kind": node.kind,
+                    "subkind": node.subkind, "label": node.label,
+                    "concrete_name": node.concrete_name, "version": version,
+                    "span": list(node.span),
+                })
+        edges += [(remap[e.src], remap[e.dst], e.kind, e.label)
+                  for e in graph.edges if e.src in keep and e.dst in keep]
+        remaps.append(remap)
+    remap_b, remap_a = remaps
+    edges.sort()
 
     map_edges = sorted(
-        (remap_b[b.id], remap_a[a.id])
+        [remap_b[b.id], remap_a[a.id]]
         for b, a in node_mapping
-        if b.id in keep_b and a.id in keep_a
+        if b.id in remap_b and a.id in remap_a
     )
     changed = {remap_b[i] for i in changed_b} | {remap_a[i] for i in changed_a}
-    return ChangeGraph(nodes, edges, map_edges, changed, prov)
+    return {
+        "id": "cg-" + _stable_hash(prov.repo_id, prov.commit_hash,
+                                   prov.file_path, prov.function),
+        "provenance": asdict(prov),
+        "nodes": nodes,
+        "edges": [{"src": src, "dst": dst, "kind": kind, "label": label}
+                  for src, dst, kind, label in edges],
+        "map_edges": map_edges,
+        "changed": sorted(changed),
+        "code": {},
+    }
 
 
-def _tagged(node: FgNode, new_id: int, version: str) -> FgNode:
-    return FgNode(new_id, node.kind, node.subkind, node.label, node.span,
-                  concrete_name=node.concrete_name, version=version)
+def _stable_hash(*parts: str) -> str:
+    return hashlib.sha1("\x00".join(parts).encode()).hexdigest()[:16]
 
 
 def _context(graph: Fgpdg, changed: set[int], mapped: set[int]) -> set[int]:

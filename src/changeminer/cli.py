@@ -165,11 +165,11 @@ def _mine(args: argparse.Namespace) -> int:
     try:
         specs = read_repos_file(args.repos)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read repos file: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot read repos file: {exc}") from None
     if not specs:
-        print("error: repos file lists no repositories", file=sys.stderr)
-        return 1
+        raise ValueError("repos file lists no repositories")
+    if _holds_pattern_set(args.out):
+        raise ValueError(f"--out {args.out} holds a pattern set")
 
     store = ChangeGraphStore(args.out)
     repos_info: dict[str, dict] = {}
@@ -233,11 +233,15 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_pattern_set(path: str) -> None:
+def _holds_pattern_set(path: str) -> bool:
     # A change-graph store has a manifest too, and records.
     root = Path(path)
-    if (not (root / "manifest.json").exists()
-            or (root / ChangeGraphStore.RECORDS).exists()):
+    return ((root / ChangeGraphStore.MANIFEST).exists()
+            and not (root / ChangeGraphStore.RECORDS).exists())
+
+
+def _check_pattern_set(path: str) -> None:
+    if not _holds_pattern_set(path):
         raise ValueError(f"no pattern set at {path}")
 
 

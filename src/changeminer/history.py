@@ -26,12 +26,12 @@ import re
 import subprocess
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
-from .changegraph import (AFTER, BEFORE, ChangeGraph, Provenance,
-                          build_change_graph, hash_email)
+from .changegraph import (AFTER, BEFORE, Provenance, build_change_graph,
+                          hash_email)
 from .mapping import map_asts, project_mapping
 from .pdg import build_fgpdg
 from .source import (FunctionUnit, ImportTable, UnsupportedConstruct,
@@ -334,15 +334,15 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
             prov = Provenance(spec.repo_id, commit.hash, commit.parents[0], path,
                               unit_b.qualified_name, author_hash, commit.message)
             try:
-                graph = change_graph_for_pair(unit_b, unit_a, imports_b,
-                                              imports_a, prov, counts)
+                record = change_graph_for_pair(unit_b, unit_a, imports_b,
+                                               imports_a, prov, counts)
             except UnsupportedConstruct as exc:
                 warnings.append(f"{commit.hash[:8]} {path}: "
                                 f"{unit_b.qualified_name}: {exc}")
                 counts["unsupported"] += 1
                 continue
-            if graph is not None:
-                records.append(record_from_graph(graph))
+            if record is not None:
+                records.append(record)
     counts["graphs"] = len(records)
     return records, warnings, roots, counts
 
@@ -399,10 +399,11 @@ def _same_body(unit_b: FunctionUnit, unit_a: FunctionUnit,
 def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
                           imports_b: ImportTable, imports_a: ImportTable,
                           prov: Provenance,
-                          counts: Counter | None = None) -> ChangeGraph | None:
+                          counts: Counter | None = None) -> dict | None:
     """Change graph of one matched function pair, or None when nothing changed.
 
-    The graph's ``code`` holds the text and first line of each revision's def.
+    The graph is the store record that ``build_change_graph`` returns, with
+    ``code`` filled in: the text and first line of each revision's def.
     Pairs that cannot differ (see ``unchanged_pair``) skip the graph layers
     and are counted under ``pairs_unchanged`` in ``counts`` when given.
     Raises UnsupportedConstruct for a changed pair that the dependence graph
@@ -416,41 +417,11 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
     g_a = build_fgpdg(unit_a, imports_a)
     tm = map_asts(unit_b.body, unit_a.body)
     nm = project_mapping(tm, g_b, g_a)
-    graph = build_change_graph(g_b, g_a, nm, prov)
-    if graph is not None:
-        graph.code = {BEFORE: _function_source(unit_b),
-                      AFTER: _function_source(unit_a)}
-    return graph
-
-
-def record_from_graph(graph: ChangeGraph) -> dict:
-    prov = graph.provenance
-    record_id = "cg-" + _stable_hash(
-        prov.repo_id, prov.commit_hash, prov.file_path, prov.function)
-    return {
-        "id": record_id,
-        "provenance": asdict(prov),
-        "nodes": [
-            {
-                "id": n.id, "kind": n.kind, "subkind": n.subkind,
-                "label": n.label, "concrete_name": n.concrete_name,
-                "version": n.version, "span": list(n.span),
-            }
-            for n in graph.nodes
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "kind": e.kind, "label": e.label}
-            for e in graph.edges
-        ],
-        "map_edges": [list(pair) for pair in graph.map_edges],
-        "changed": sorted(graph.changed),
-        "code": graph.code,
-    }
-
-
-def _stable_hash(*parts: str) -> str:
-    import hashlib
-    return hashlib.sha1("\x00".join(parts).encode()).hexdigest()[:16]
+    record = build_change_graph(g_b, g_a, nm, prov)
+    if record is not None:
+        record["code"] = {BEFORE: _function_source(unit_b),
+                          AFTER: _function_source(unit_a)}
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +456,16 @@ class ChangeGraphStore:
                     yield json.loads(line)
 
     def finalize(self, config: dict, repos: dict) -> None:
-        """Replace the records and manifest with the held records, sorted."""
+        """Replace the records and manifest with the held records, sorted.
+
+        Both files are written to temporary files beside them first, and
+        replace them only once both are whole: a failure leaves the previous
+        store as it was.
+        """
         self._pending.sort(key=lambda item: item[0])
         self.root.mkdir(parents=True, exist_ok=True)
-        with open(self._records_path, "w", encoding="utf-8") as handle:
-            for _, line in self._pending:
-                handle.write(line + "\n")
+        staged = {path: path.with_name(path.name + ".tmp")
+                  for path in (self._records_path, self._manifest_path)}
         manifest = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": TOOL_VERSION,
@@ -498,9 +473,18 @@ class ChangeGraphStore:
             "record_count": len(self._pending),
             "repos": repos,
         }
-        with open(self._manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, sort_keys=True, indent=2)
-            handle.write("\n")
+        try:
+            with open(staged[self._records_path], "w", encoding="utf-8") as handle:
+                for _, line in self._pending:
+                    handle.write(line + "\n")
+            with open(staged[self._manifest_path], "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle, sort_keys=True, indent=2)
+                handle.write("\n")
+            for path, temporary in staged.items():
+                os.replace(temporary, path)
+        finally:
+            for temporary in staged.values():
+                temporary.unlink(missing_ok=True)
 
     def manifest(self) -> dict:
         if not self._manifest_path.exists():

@@ -49,7 +49,6 @@ class FgNode:
     label: str
     span: Span
     concrete_name: str | None = None
-    version: str | None = None  # Before | After, set inside a change graph
     origins: list[AstNode] = field(default_factory=list, repr=False)
 
 

@@ -168,14 +168,13 @@ class FunctionUnit:
 
 @dataclass
 class ImportTable:
-    """Local name -> fully qualified dotted path, plus star-imported modules.
+    """Local name -> fully qualified dotted path.
 
     Relative imports keep their leading dots ("..util.helper"), which marks
     them as project-internal for the origin classifier.
     """
 
     aliases: dict[str, str] = field(default_factory=dict)
-    star_imports: list[str] = field(default_factory=list)
 
 
 # The parser's line model: only these end a line ("\x0c", "\x85" or U+2028,
@@ -595,8 +594,6 @@ def build_import_table(module: ast.Module) -> ImportTable:
             source = "." * node.level + (node.module or "")
             for alias in node.names:
                 if alias.name == "*":
-                    if source:
-                        table.star_imports.append(source)
                     continue
                 base = source if source.endswith(".") or not source else source + "."
                 value = (base + alias.name) if source else alias.name

@@ -434,8 +434,6 @@ def build_import_table(tree: AstNode) -> ImportTable:
             module = node.label
             for alias in node.children:
                 if alias.label == "*":
-                    if module:
-                        table.star_imports.append(module)
                     continue
                 base = module if module.endswith(".") or not module else module + "."
                 value = (base + alias.label) if module else alias.label

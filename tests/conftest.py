@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from changeminer.changegraph import Provenance, hash_email
-from changeminer.history import change_graph_for_pair, record_from_graph
+from changeminer.history import change_graph_for_pair
 from changeminer.source import build_import_table, extract_functions, parse_module
 
 FIG2_BEFORE = """\
@@ -40,9 +40,9 @@ def change_graph_for(before_src: str, after_src: str, repo: str = "repo",
 
 def change_record(before_src: str, after_src: str, repo: str = "repo",
                   commit: str = "c1", path: str = "a.py") -> dict:
-    graph = change_graph_for(before_src, after_src, repo, commit, path)
-    assert graph is not None, "expected a non-empty change graph"
-    return record_from_graph(graph)
+    record = change_graph_for(before_src, after_src, repo, commit, path)
+    assert record is not None, "expected a non-empty change graph"
+    return record
 
 
 @pytest.fixture

@@ -183,8 +183,9 @@ def test_criterion_3_fig2_structural_fidelity():
 
         change = change_graph_for(FIG2_BEFORE, FIG2_AFTER)
         assert change is not None
-        names = {n.id: (n.label, n.concrete_name) for n in change.nodes}
-        mapped = {(names[b], names[a]) for b, a in change.map_edges}
+        names = {n["id"]: (n["label"], n["concrete_name"])
+                 for n in change["nodes"]}
+        mapped = {(names[b], names[a]) for b, a in change["map_edges"]}
         assert (("?.add", "add"), ("?.update", "update")) in mapped
         assert (("var", "collection"), ("var", "collection")) in mapped
 

@@ -76,20 +76,21 @@ def test_unmapped_new_argument_is_changed():
 
 def test_fig2_change_graph_has_required_map_edges():
     graph = change_graph_for(FIG2_BEFORE, FIG2_AFTER)
-    labels = {n.id: (n.label, n.concrete_name, n.version) for n in graph.nodes}
-    mapped = {(labels[b][:2], labels[a][:2]) for b, a in graph.map_edges}
+    labels = {n["id"]: (n["label"], n["concrete_name"], n["version"])
+              for n in graph["nodes"]}
+    mapped = {(labels[b][:2], labels[a][:2]) for b, a in graph["map_edges"]}
     assert (("?.add", "add"), ("?.update", "update")) in mapped
     assert (("var", "collection"), ("var", "collection")) in mapped
-    assert graph.changed
+    assert graph["changed"]
 
 
 def test_map_edges_connect_matching_versions_and_kinds():
     graph = change_graph_for(FIG2_BEFORE, FIG2_AFTER)
-    by_id = {n.id: n for n in graph.nodes}
-    for b, a in graph.map_edges:
-        assert by_id[b].version == "Before"
-        assert by_id[a].version == "After"
-        assert by_id[b].kind == by_id[a].kind
+    by_id = {n["id"]: n for n in graph["nodes"]}
+    for b, a in graph["map_edges"]:
+        assert by_id[b]["version"] == "Before"
+        assert by_id[a]["version"] == "After"
+        assert by_id[b]["kind"] == by_id[a]["kind"]
 
 
 def test_context_pruning_keeps_one_hop_neighbours():
@@ -102,8 +103,8 @@ def test_context_pruning_keeps_one_hop_neighbours():
     )
     after = before.replace("checker", "verifier")
     graph = change_graph_for(before, after)
-    labels_before = {(n.label, n.concrete_name) for n in graph.nodes
-                     if n.version == "Before"}
+    labels_before = {(n["label"], n["concrete_name"]) for n in graph["nodes"]
+                     if n["version"] == "Before"}
     # changed call, its argument var, plus 1-hop mapped neighbour of z (third)
     assert ("checker", "checker") in labels_before
     assert ("var", "z") in labels_before
@@ -115,19 +116,17 @@ def test_context_pruning_keeps_one_hop_neighbours():
 
 def test_all_map_edges_connect_surviving_nodes():
     graph = change_graph_for(FIG2_BEFORE, FIG2_AFTER)
-    ids = {n.id for n in graph.nodes}
-    for b, a in graph.map_edges:
+    ids = {n["id"] for n in graph["nodes"]}
+    for b, a in graph["map_edges"]:
         assert b in ids and a in ids
-    for edge in graph.edges:
-        assert edge.src in ids and edge.dst in ids
+    for edge in graph["edges"]:
+        assert edge["src"] in ids and edge["dst"] in ids
 
 
 def test_node_count_bounded_by_inputs():
     g_b, g_a, nm = pipeline(FIG2_BEFORE, FIG2_AFTER)
-    graph = build_change_graph(
-        g_b, g_a, nm,
-        change_graph_for(FIG2_BEFORE, FIG2_AFTER).provenance)
-    assert len(graph.nodes) <= len(g_b.nodes) + len(g_a.nodes)
+    graph = build_change_graph(g_b, g_a, nm, _PROV)
+    assert len(graph["nodes"]) <= len(g_b.nodes) + len(g_a.nodes)
 
 
 def _units_of(path: Path):

@@ -164,6 +164,21 @@ def test_patterns_reports_a_pattern_set_given_as_store(tmp_path, small_repo,
     assert not (tmp_path / "again").exists()
 
 
+def test_mine_refuses_to_write_into_a_pattern_set(tmp_path, small_repo, capsys,
+                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    listing = write_repos(tmp_path, [f"r1 {small_repo}"])
+    main(["mine", "--repos", listing, "--out", "store"])
+    main(["patterns", "--store", "store", "--out", "patterns"])
+    before = _tree_bytes(tmp_path)
+    capsys.readouterr()
+    assert main(["mine", "--repos", listing, "--out", "patterns"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --out patterns holds a pattern set\n"
+    assert captured.out == ""
+    assert _tree_bytes(tmp_path) == before
+
+
 @pytest.mark.parametrize("target", ["typo", "store"])
 @pytest.mark.parametrize("command", [
     ["report", "--format", "html", "--out", "r"],

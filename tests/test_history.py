@@ -14,15 +14,14 @@ from pathlib import Path
 import pytest
 
 from changeminer import history
-from changeminer.changegraph import Provenance
+from changeminer.changegraph import Provenance, hash_email
 from changeminer.cli import main as cli_main
 from changeminer.history import (BlobReader, ChangeGraphStore, CommitFilter,
                                  CommitInfo, RepoSpec, RepoUnavailable,
                                  change_graph_for_pair,
                                  list_commits, match_functions,
                                  mine_repository, module_path_for,
-                                 pair_modified_files, read_repos_file,
-                                 record_from_graph)
+                                 pair_modified_files, read_repos_file)
 from changeminer.pdg import UnsupportedConstruct
 from changeminer.source import (MAX_NESTING, _nesting, build_import_table,
                                 extract_functions, parse_module)
@@ -428,10 +427,9 @@ def _from_depth(frames: int, func):
 def _outcome(before: str, after: str):
     unit_b, unit_a, imports_b, imports_a = _pair(before, after)
     try:
-        graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
+        return change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
     except UnsupportedConstruct as exc:
         return exc.kind
-    return record_from_graph(graph)
 
 
 @pytest.mark.parametrize("shape", ["sum", "method", "subscript", "attribute",
@@ -579,9 +577,9 @@ def test_pair_whose_used_name_is_rebound_by_an_import_is_mined():
     graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV,
                                   counts=counts)
     assert graph is not None and counts == Counter()
-    labels = {n.id: n.label for n in graph.nodes}
+    labels = {n["id"]: n["label"] for n in graph["nodes"]}
     assert ("nt._isdir", "nt._path_isdir") in {
-        (labels[b], labels[a]) for b, a in graph.map_edges}
+        (labels[b], labels[a]) for b, a in graph["map_edges"]}
 
 
 def test_changed_unsupported_pair_raises(tmp_path, caplog):
@@ -604,8 +602,9 @@ def test_changed_pair_with_yield_only_in_a_lambda_is_mined():
         "def f():\n    g = lambda: (yield)\n    return two(g)\n")
     graph = change_graph_for_pair(unit_b, unit_a, imports_b, imports_a, _PROV)
     assert graph is not None
-    labels = {n.id: n.label for n in graph.nodes}
-    assert ("one", "two") in {(labels[b], labels[a]) for b, a in graph.map_edges}
+    labels = {n["id"]: n["label"] for n in graph["nodes"]}
+    assert ("one", "two") in {(labels[b], labels[a])
+                              for b, a in graph["map_edges"]}
 
 
 def test_rerun_writes_identical_store(tmp_path, copy_repo):
@@ -614,6 +613,37 @@ def test_rerun_writes_identical_store(tmp_path, copy_repo):
     text1 = (store1.root / ChangeGraphStore.RECORDS).read_text()
     text2 = (store2.root / ChangeGraphStore.RECORDS).read_text()
     assert text1 == text2
+
+
+def test_mine_stores_the_record_that_change_graph_for_pair_returns(
+        tmp_path, copy_repo):
+    store, _ = mine_into(tmp_path, copy_repo)
+    [line] = (store.root / ChangeGraphStore.RECORDS).read_text().splitlines()
+    commit = list_commits(str(copy_repo))[-1]
+    tree_b, tree_a = parse_module(COPY_BEFORE), parse_module(COPY_AFTER)
+    [unit_b], [unit_a] = (extract_functions(tree_b, "mod"),
+                          extract_functions(tree_a, "mod"))
+    prov = Provenance("r1", commit.hash, commit.parents[0], "mod.py",
+                      unit_b.qualified_name, hash_email(commit.author_email),
+                      commit.message)
+    record = change_graph_for_pair(unit_b, unit_a, build_import_table(tree_b),
+                                   build_import_table(tree_a), prov)
+    assert json.dumps(record, sort_keys=True) == line
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def test_a_failed_finalize_leaves_the_previous_store_whole(tmp_path, copy_repo):
+    store, _ = mine_into(tmp_path, copy_repo)
+    before = _files(store.root)
+    again = ChangeGraphStore(store.root)
+    again.append(next(store.iter_records()))
+    with pytest.raises(TypeError):
+        again.finalize({"unserializable": object()}, {})
+    assert _files(store.root) == before
 
 
 def test_stored_commits_exist_in_repository(tmp_path, copy_repo):
