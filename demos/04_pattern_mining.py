@@ -50,4 +50,4 @@ for record in result.patterns:
     print(f"  support {record.support}, size {record.size}, "
           f"projects {record.project_ids}, category {category.value}")
     print("\nGraphviz DOT (render with `dot -Tpdf`):\n")
-    print(export_graph(record.graph, "dot"))
+    print(export_graph(record.graph))

@@ -17,7 +17,7 @@ from .mining import (MiningConfig, PatternGraph, PatternRecord, PatternSet,
 from .origins import Origin, StructuralCategory, call_origin, structural_category
 from .pdg import FgEdge, FgNode, Fgpdg, build_fgpdg, resolve_callee
 from .report import export_graph, render_html, stats_report, write_pattern_set
-from .source import (AstNode, FunctionUnit, ImportTable, UnsupportedConstruct,
+from .source import (AstNode, FunctionUnit, UnsupportedConstruct,
                      build_import_table, extract_functions, parse_module,
                      parse_source)
 
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AstNode", "ChangeGraphStore", "CommitFilter", "FgEdge",
-    "FgNode", "Fgpdg", "FunctionUnit", "ImportTable", "MiningConfig",
+    "FgNode", "Fgpdg", "FunctionUnit", "MiningConfig",
     "Origin", "PatternGraph", "PatternRecord", "PatternSet", "Provenance",
     "RepoSpec", "RepoUnavailable", "StructuralCategory",
     "TreeMapping", "UnsupportedConstruct", "build_change_graph",

@@ -108,8 +108,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, default in _SETTINGS[command].items():
             flag = "--" + key.replace("_", "-")
             if isinstance(default, bool):
-                action = argparse.BooleanOptionalAction if default else "store_true"
-                p_cmd.add_argument(flag, action=action, default=None)
+                p_cmd.add_argument(flag, action=argparse.BooleanOptionalAction,
+                                   default=None)
             else:
                 p_cmd.add_argument(flag, type=type(default), default=None)
         p_cmd.add_argument("--config", default=None)
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     p_rep = sub.add_parser("report", help="export mined patterns")
     p_rep.add_argument("--patterns", required=True)
     p_rep.add_argument("--format", required=True,
-                       choices=["html", "dot", "text"])
+                       choices=["html", "dot"])
     p_rep.add_argument("--out", required=True)
     p_rep.add_argument("-v", "--verbose", action="store_true")
 
@@ -254,14 +254,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 0
     entries = load_pattern_dir(args.patterns)
     out.mkdir(parents=True, exist_ok=True)
-    fmt = "dot" if args.format == "dot" else "structured-text"
-    suffix = ".dot" if args.format == "dot" else ".json"
     for entry in entries:
         pattern = graph_from_dict(entry["graph"])
-        path = out / (entry["meta"]["name"] + suffix)
-        path.write_text(export_graph(pattern, fmt), encoding="utf-8")
-    remove_stale(out, {entry["meta"]["name"] for entry in entries}, suffix)
-    print(f"wrote {len(entries)} {args.format} files to {out}")
+        path = out / (entry["meta"]["name"] + ".dot")
+        path.write_text(export_graph(pattern), encoding="utf-8")
+    remove_stale(out, {entry["meta"]["name"] for entry in entries}, ".dot")
+    print(f"wrote {len(entries)} dot files to {out}")
     return 0
 
 

@@ -34,7 +34,7 @@ from .changegraph import (AFTER, BEFORE, Provenance, build_change_graph,
                           hash_email)
 from .mapping import map_asts, project_mapping
 from .pdg import build_fgpdg
-from .source import (FunctionUnit, ImportTable, UnsupportedConstruct,
+from .source import (FunctionUnit, UnsupportedConstruct,
                      build_import_table, extract_functions, parse_module,
                      same_tree)
 # Mining no longer calls parse_source, but the name stays importable from
@@ -110,7 +110,11 @@ def read_repos_file(path: str | Path) -> list[RepoSpec]:
 
 
 def open_repository(spec: RepoSpec, workdir: Path) -> str:
-    """Return a local checkout path, cloning remote URLs into workdir."""
+    """Return a local checkout path, cloning remote URLs into workdir.
+
+    A clone left by an earlier run is first moved to the remote's HEAD, so
+    that commits pushed since then are mined too.
+    """
     candidate = Path(spec.url_or_path)
     if candidate.exists():
         if not (candidate / ".git").exists() and not (candidate / "HEAD").exists():
@@ -119,15 +123,20 @@ def open_repository(spec: RepoSpec, workdir: Path) -> str:
     if re.match(r"^\w+://|^git@", spec.url_or_path):
         target = workdir / spec.repo_id
         if (target / ".git").exists():
-            return str(target)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            subprocess.run(["git", "clone", "--quiet", spec.url_or_path,
-                            str(target)], capture_output=True, check=True)
-        except subprocess.CalledProcessError as exc:
-            raise RepoUnavailable(
-                f"cannot clone {spec.url_or_path}: {exc.stderr.decode(errors='replace').strip()}"
-            ) from exc
+            action = "update"
+            steps = [["-C", str(target), "fetch", "--quiet", "origin", "HEAD"],
+                     ["-C", str(target), "reset", "--quiet", "--soft", "FETCH_HEAD"]]
+        else:
+            action = "clone"
+            target.parent.mkdir(parents=True, exist_ok=True)
+            steps = [["clone", "--quiet", spec.url_or_path, str(target)]]
+        for step in steps:
+            try:
+                subprocess.run(["git", *step], capture_output=True, check=True)
+            except subprocess.CalledProcessError as exc:
+                raise RepoUnavailable(
+                    f"cannot {action} {spec.url_or_path}: {exc.stderr.decode(errors='replace').strip()}"
+                ) from exc
         return str(target)
     raise RepoUnavailable(f"{spec.url_or_path} does not exist")
 
@@ -348,7 +357,7 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
 
 
 def unchanged_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
-                   imports_b: ImportTable, imports_a: ImportTable) -> bool:
+                   imports_b: dict[str, str], imports_a: dict[str, str]) -> bool:
     """True when both revisions must build the same dependence graph.
 
     The normalized bodies are equal and no name in them is bound differently
@@ -361,8 +370,7 @@ def unchanged_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
             or _same_body(unit_b, unit_a, rebound))
 
 
-def _rebound_names(imports_b: ImportTable, imports_a: ImportTable) -> set[str]:
-    before, after = imports_b.aliases, imports_a.aliases
+def _rebound_names(before: dict[str, str], after: dict[str, str]) -> set[str]:
     return {name for name in before.keys() | after.keys()
             if before.get(name) != after.get(name)}
 
@@ -397,7 +405,7 @@ def _same_body(unit_b: FunctionUnit, unit_a: FunctionUnit,
 
 
 def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
-                          imports_b: ImportTable, imports_a: ImportTable,
+                          imports_b: dict[str, str], imports_a: dict[str, str],
                           prov: Provenance,
                           counts: Counter | None = None) -> dict | None:
     """Change graph of one matched function pair, or None when nothing changed.

@@ -172,8 +172,9 @@ def collect_seeds(corpus: list[CorpusGraph], cfg: MiningConfig | None = None):
     A same-label group is pruned when none of its member graphs has a changed
     node, since it could never grow into a pattern containing a change. In a
     store that ``mine`` wrote every graph has one, so only hand-built records
-    are pruned. ``cfg`` is unused; it is kept so that callers may pass the
-    search's config.
+    are pruned. ``cfg`` is unused here: ``mine`` passes it because the
+    benchmark's traced run wraps this function by name
+    (``perfbench/child.py``'s ``counted_seeds``) and reads ``min_freq`` from it.
     """
     groups: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
     for graph in corpus:
@@ -354,7 +355,11 @@ def canonical_key(pattern: PatternGraph) -> str:
 
 
 def exact_isomorphic(p: PatternGraph, q: PatternGraph) -> bool:
-    """Isomorphism test: equal sizes, equal edge counts and equal canonical keys."""
+    """Isomorphism test: equal sizes, equal edge counts and equal canonical keys.
+
+    No command calls it; the tests do, and the benchmark's traced run wraps
+    it by name (``perfbench/child.py``'s ``TRACED`` table).
+    """
     return (p.size == q.size and len(p.edges) == len(q.edges)
             and len(p.map_edges) == len(q.map_edges)
             and canonical_key(p) == canonical_key(q))

@@ -32,17 +32,14 @@ class StructuralCategory(str, Enum):
 
 
 def call_origin(label: str,
-                project_modules: frozenset[str] | set[str] = frozenset()) -> Origin:
-    """Origin of a resolved callee label.
+                project_modules: frozenset[str] | set[str] = frozenset()
+                ) -> tuple[Origin, str]:
+    """Origin of a resolved callee label and the root module it comes from.
 
-    Receiver-dependent "?.name" labels default to builtin, except for method
-    names pinned to a standard-library module (unittest assertions and kin).
+    The root is "" for builtin and unknown origins. Receiver-dependent
+    "?.name" labels default to builtin, except for method names pinned to a
+    standard-library module (unittest assertions and kin).
     """
-    return _origin_and_root(label, project_modules)[0]
-
-
-def _origin_and_root(label: str,
-                     project_modules: frozenset[str] | set[str]) -> tuple[Origin, str]:
     if label == "?" or not label:
         return Origin.UNKNOWN, ""
     if label.startswith("?."):
@@ -87,7 +84,7 @@ def structural_category(pattern: PatternGraph, instances: list[Instance],
         return StructuralCategory.UNKNOWN
 
     origin_of = {
-        idx: _origin_and_root(pattern.nodes[idx].label, project_modules)
+        idx: call_origin(pattern.nodes[idx].label, project_modules)
         for idx in changed_calls
     }
     if any(origin is Origin.UNKNOWN for origin, _ in origin_of.values()):
@@ -100,9 +97,9 @@ def structural_category(pattern: PatternGraph, instances: list[Instance],
     if changed_pairs:
         shared: set[Origin] = set()
         for b, a in changed_pairs:
-            origin_b = origin_of.get(b) or _origin_and_root(
+            origin_b = origin_of.get(b) or call_origin(
                 pattern.nodes[b].label, project_modules)
-            origin_a = origin_of.get(a) or _origin_and_root(
+            origin_a = origin_of.get(a) or call_origin(
                 pattern.nodes[a].label, project_modules)
             if origin_b != origin_a:
                 return StructuralCategory.MOV

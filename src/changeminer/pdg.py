@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .source import AstNode, FunctionUnit, ImportTable, Span, UnsupportedConstruct
+from .source import AstNode, FunctionUnit, Span, UnsupportedConstruct
 
 DATA, OPERATION, CONTROL = "Data", "Operation", "Control"
 
@@ -66,7 +66,7 @@ class Fgpdg:
     edges: list[FgEdge]
 
 
-def resolve_callee(call_subtree: AstNode, imports: ImportTable) -> str:
+def resolve_callee(call_subtree: AstNode, imports: dict[str, str]) -> str:
     """Label for a call: qualified path, bare name, or "?.<name>" fallback.
 
     Qualifier chains that resolve through the import table become dotted paths
@@ -75,7 +75,7 @@ def resolve_callee(call_subtree: AstNode, imports: ImportTable) -> str:
     """
     func = call_subtree.children[0]
     if func.kind == "Name":
-        return imports.aliases.get(func.label, func.label)
+        return imports.get(func.label, func.label)
     if func.kind == "Attribute":
         resolved = _resolve_chain(func, imports)
         if resolved is not None:
@@ -84,19 +84,19 @@ def resolve_callee(call_subtree: AstNode, imports: ImportTable) -> str:
     return "?"
 
 
-def _resolve_chain(node: AstNode, imports: ImportTable) -> str | None:
+def _resolve_chain(node: AstNode, imports: dict[str, str]) -> str | None:
     parts: list[str] = []
     current = node
     while current.kind == "Attribute":
         parts.append(current.label)
         current = current.children[0]
-    if current.kind != "Name" or current.label not in imports.aliases:
+    if current.kind != "Name" or current.label not in imports:
         return None
-    parts.append(imports.aliases[current.label])
+    parts.append(imports[current.label])
     return ".".join(reversed(parts))
 
 
-def build_fgpdg(unit: FunctionUnit, imports: ImportTable | None = None) -> Fgpdg:
+def build_fgpdg(unit: FunctionUnit, imports: dict[str, str] | None = None) -> Fgpdg:
     """Build the dependence graph for one function unit.
 
     This is the check of which constructs can be modelled: a ``yield`` or
@@ -105,7 +105,7 @@ def build_fgpdg(unit: FunctionUnit, imports: ImportTable | None = None) -> Fgpdg
     refusal, of a def nested deeper than ``source.MAX_NESTING`` levels, comes
     from ``unit.body`` before the builder runs.
     """
-    builder = _Builder(imports or ImportTable())
+    builder = _Builder(imports or {})
     for child in unit.body.children:
         if child.kind == "Block" and child.label == "body":
             builder.walk_block(child)
@@ -113,7 +113,7 @@ def build_fgpdg(unit: FunctionUnit, imports: ImportTable | None = None) -> Fgpdg
 
 
 class _Builder:
-    def __init__(self, imports: ImportTable):
+    def __init__(self, imports: dict[str, str]):
         self.imports = imports
         self.nodes: list[FgNode] = []
         self.edges: set[FgEdge] = set()

@@ -162,12 +162,9 @@ def load_pattern_dir(patterns_dir: str | Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def export_graph(pattern: PatternGraph, fmt: str) -> str:
-    """Render one template as Graphviz DOT or as structured text (JSON)."""
-    if fmt == "structured-text":
-        return json.dumps(graph_to_dict(pattern), sort_keys=True, indent=2) + "\n"
-    if fmt != "dot":
-        raise ValueError(f"unknown export format: {fmt}")
+def export_graph(pattern: PatternGraph) -> str:
+    """Render one template as Graphviz DOT: before and after clusters, mapping
+    edges dashed."""
     lines = ["digraph pattern {", "  rankdir=LR;",
              '  node [fontname="monospace"];']
     for version, cluster in (("Before", "cluster_before"),
@@ -205,6 +202,16 @@ mark { background: #ffe08a; }
 .columns { display: flex; gap: 1em; }
 .columns > div { flex: 1; min-width: 0; }
 """.strip()
+
+
+def _page(title: str, body: str) -> str:
+    return f"""<!DOCTYPE html>
+<html><head><meta charset="utf-8">
+<title>{title}</title>
+<style>{_PAGE_STYLE}</style></head>
+<body>
+{body}</body></html>
+"""
 
 
 def _highlight(code: dict, spans: list) -> str:
@@ -278,20 +285,14 @@ def render_pattern_page(entry: dict) -> str:
             "</div></div>")
     pairs = ", ".join(
         f'{html.escape(b)} &rarr; {html.escape(a)}' for b, a in meta.get("call_pairs", []))
-    return f"""<!DOCTYPE html>
-<html><head><meta charset="utf-8">
-<title>{meta["name"]}</title>
-<style>{_PAGE_STYLE}</style></head>
-<body>
-<p><a href="index.html">&larr; index</a></p>
+    return _page(meta["name"], f"""<p><a href="index.html">&larr; index</a></p>
 <h1>{meta["name"]}</h1>
 <p>calls: {pairs}</p>
 <p>support {meta["support"]} &middot; size {meta["size"]} &middot;
 category {html.escape(meta["category"] or "?")} (heuristic) &middot;
 projects: {html.escape(", ".join(meta["project_ids"]))}</p>
 {"".join(blocks)}
-</body></html>
-"""
+""")
 
 
 def render_index_page(entries: list[dict]) -> str:
@@ -307,12 +308,7 @@ def render_index_page(entries: list[dict]) -> str:
             f'<td>{html.escape(meta["category"] or "?")}</td>'
             f'<td>{html.escape(", ".join(meta["project_ids"]))}</td>'
             "</tr>")
-    return f"""<!DOCTYPE html>
-<html><head><meta charset="utf-8">
-<title>change patterns</title>
-<style>{_PAGE_STYLE}</style></head>
-<body>
-<h1>Change patterns</h1>
+    return _page("change patterns", f"""<h1>Change patterns</h1>
 <p>{len(entries)} patterns, sorted by support. Categories are heuristic
 approximations from callee origins.</p>
 <table>
@@ -320,8 +316,7 @@ approximations from callee origins.</p>
 <th>category</th><th>projects</th></tr>
 {"".join(rows)}
 </table>
-</body></html>
-"""
+""")
 
 
 def render_html(patterns_dir: str | Path, out_dir: str | Path) -> int:

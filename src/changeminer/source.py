@@ -166,17 +166,6 @@ class FunctionUnit:
         return self.lines[first - 1:last]
 
 
-@dataclass
-class ImportTable:
-    """Local name -> fully qualified dotted path.
-
-    Relative imports keep their leading dots ("..util.helper"), which marks
-    them as project-internal for the origin classifier.
-    """
-
-    aliases: dict[str, str] = field(default_factory=dict)
-
-
 # The parser's line model: only these end a line ("\x0c", "\x85" or U+2028,
 # which str.splitlines also breaks at, do not).
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
@@ -579,17 +568,22 @@ def _prune_nested(def_node: AstNode) -> AstNode:
 # ---------------------------------------------------------------------------
 
 
-def build_import_table(module: ast.Module) -> ImportTable:
-    """Collect import bindings from anywhere in the module (module or function level)."""
-    table = ImportTable()
+def build_import_table(module: ast.Module) -> dict[str, str]:
+    """Map each name an import binds anywhere in the module (module or
+    function level) to the fully qualified dotted path it stands for.
+
+    Relative imports keep their leading dots ("..util.helper"), which marks
+    them as project-internal for the origin classifier.
+    """
+    table: dict[str, str] = {}
     for node in _statements(module):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
-                    table.aliases[alias.asname] = alias.name
+                    table[alias.asname] = alias.name
                 else:
                     root = alias.name.split(".")[0]
-                    table.aliases[root] = root
+                    table[root] = root
         elif isinstance(node, ast.ImportFrom):
             source = "." * node.level + (node.module or "")
             for alias in node.names:
@@ -597,5 +591,5 @@ def build_import_table(module: ast.Module) -> ImportTable:
                     continue
                 base = source if source.endswith(".") or not source else source + "."
                 value = (base + alias.name) if source else alias.name
-                table.aliases[alias.asname or alias.name] = value
+                table[alias.asname or alias.name] = value
     return table

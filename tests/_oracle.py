@@ -36,7 +36,7 @@ from changeminer.mining import (MAP, CorpusGraph, MiningConfig, PatternGraph,
                                 PatternRecord, TNode, _adjacency_tags, _ranks,
                                 _refine, canonical_key)
 from changeminer.source import (_BINOP_SYMBOLS, _CMPOP_SYMBOLS,
-                                _UNARYOP_SYMBOLS, AstNode, ImportTable, Span,
+                                _UNARYOP_SYMBOLS, AstNode, Span,
                                 _finish, parse_module)
 
 
@@ -418,18 +418,18 @@ def _prune_nested(def_node: AstNode) -> AstNode:
     return root
 
 
-def build_import_table(tree: AstNode) -> ImportTable:
+def build_import_table(tree: AstNode) -> dict[str, str]:
     """Collect import bindings from anywhere in the tree (module or function level)."""
-    table = ImportTable()
+    table: dict[str, str] = {}
     for node in tree.preorder():
         if node.kind == "Import":
             for alias in node.children:
                 asname = _asname(alias)
                 if asname:
-                    table.aliases[asname] = alias.label
+                    table[asname] = alias.label
                 else:
                     root = alias.label.split(".")[0]
-                    table.aliases[root] = root
+                    table[root] = root
         elif node.kind == "ImportFrom":
             module = node.label
             for alias in node.children:
@@ -437,7 +437,7 @@ def build_import_table(tree: AstNode) -> ImportTable:
                     continue
                 base = module if module.endswith(".") or not module else module + "."
                 value = (base + alias.label) if module else alias.label
-                table.aliases[_asname(alias) or alias.label] = value
+                table[_asname(alias) or alias.label] = value
     return table
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import changeminer
 from changeminer import cli, history, mapping, mining, source
 from changeminer.cli import main, read_config_file
 from changeminer.history import REPO_COUNTERS, ChangeGraphStore
@@ -230,8 +231,10 @@ def test_report_and_stats_commands(tmp_path, small_repo, capsys):
     assert (tmp_path / "html" / "index.html").exists()
     assert main(["report", "--patterns", str(tmp_path / "patterns"),
                  "--format", "dot", "--out", str(tmp_path / "dot")]) == 0
-    assert main(["report", "--patterns", str(tmp_path / "patterns"),
-                 "--format", "text", "--out", str(tmp_path / "text")]) == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", "--patterns", str(tmp_path / "patterns"),
+              "--format", "text", "--out", str(tmp_path / "text")])
+    assert exit_info.value.code == 2
     assert main(["stats", "--patterns", str(tmp_path / "patterns")]) == 0
     assert "patterns:" in capsys.readouterr().out
 
@@ -357,8 +360,7 @@ def test_rerunning_patterns_removes_stale_pattern_dirs(tmp_path, twin_repo,
     assert "patterns: 1" in capsys.readouterr().out.splitlines()
 
 
-@pytest.mark.parametrize("fmt, suffix", [("html", ".html"), ("dot", ".dot"),
-                                         ("text", ".json")])
+@pytest.mark.parametrize("fmt, suffix", [("html", ".html"), ("dot", ".dot")])
 def test_rerunning_report_removes_stale_pages(tmp_path, twin_repo, capsys,
                                               fmt, suffix):
     listing = write_repos(tmp_path, [f"rc {twin_repo}"])
@@ -404,6 +406,22 @@ def test_config_boolean_typo_exits_one_naming_the_key(tmp_path, small_repo, caps
                      "--out", str(tmp_path / "store"), *extra]) == 1
         assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "store").exists()
+
+
+def test_a_flag_overrides_a_true_config_value(tmp_path, twin_repo, capsys):
+    listing = write_repos(tmp_path, [f"rc {twin_repo}"])
+    main(["mine", "--repos", listing, "--out", str(tmp_path / "store")])
+    config = tmp_path / "patterns.cfg"
+    config.write_text("keep_subpatterns = true\n")
+    args = ["patterns", "--store", str(tmp_path / "store"),
+            "--min-freq", "2", "--min-size", "2", "--out"]
+    assert main(args + [str(tmp_path / "plain")]) == 0
+    assert main(args + [str(tmp_path / "kept"), "--config", str(config)]) == 0
+    assert main(args + [str(tmp_path / "undone"), "--config", str(config),
+                        "--no-keep-subpatterns"]) == 0
+    capsys.readouterr()
+    assert len(load_pattern_dir(tmp_path / "kept")) > 1
+    assert _files(tmp_path / "undone") == _files(tmp_path / "plain")
 
 
 def test_mine_config_file_reaches_the_commit_filter(tmp_path, twin_repo, capsys):
@@ -453,18 +471,43 @@ def _usage_block(section: str, command: str) -> str:
     return "\n".join(block)
 
 
-@pytest.mark.parametrize("command", ["mine", "patterns"])
-def test_readme_lists_every_flag(command, capsys):
+def _help(command: str, capsys) -> str:
     with pytest.raises(SystemExit) as exit_info:
         main([command, "--help"])
     assert exit_info.value.code == 0
-    printed = _flags(capsys.readouterr().out)
+    return capsys.readouterr().out
+
+
+def _command_line_section() -> str:
     text = README.read_text(encoding="utf-8")
-    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("command", ["mine", "patterns", "report", "stats"])
+def test_readme_lists_every_flag(command, capsys):
+    printed = _flags(_help(command, capsys))
+    section = _command_line_section()
     missing = printed - _flags(section)
     assert not missing, f"README's Command line section lacks {sorted(missing)}"
     stale = _flags(_usage_block(section, command)) - printed
     assert not stale, f"README's {command} usage lists unknown {sorted(stale)}"
+
+
+def test_readme_shows_every_report_format(capsys):
+    choices = re.search(r"--format \{([a-z,]+)\}", _help("report", capsys))[1]
+    shown = set(re.findall(r"^changeminer report .*--format ([a-z]+)",
+                           _command_line_section(), re.MULTILINE))
+    assert shown == set(choices.split(","))
+
+
+def test_readme_library_use_imports_and_all_resolve():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    [block] = re.findall(r"```python\n(.*?)```", section, re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
+    missing = [name for name in changeminer.__all__
+               if not hasattr(changeminer, name)]
+    assert not missing
 
 
 @pytest.mark.parametrize("module, name", [(source, "MAX_NESTING"),

@@ -4,6 +4,7 @@ import ast
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -660,6 +661,19 @@ def test_unavailable_repo_raises(tmp_path):
     with pytest.raises(RepoUnavailable):
         mine_repository(RepoSpec(str(tmp_path / "missing"), "nope"),
                         CommitFilter(), store)
+
+
+def test_a_clone_of_a_remote_moves_to_its_head_before_reuse(tmp_path, copy_repo):
+    store = ChangeGraphStore(tmp_path / "store")
+    spec = RepoSpec(copy_repo.resolve().as_uri(), "r1")
+    assert mine_repository(spec, CommitFilter(), store)["graphs"] == 1
+    commit_files(copy_repo, {"mod.py": COPY_AFTER.replace("deepcopy", "copy")},
+                 "shallow copy")
+    assert mine_repository(spec, CommitFilter(), store)["graphs"] == 2
+    # a failed fetch is reported as a failed clone is
+    shutil.rmtree(copy_repo)
+    with pytest.raises(RepoUnavailable, match="cannot update"):
+        mine_repository(spec, CommitFilter(), store)
 
 
 def test_a_failed_git_log_names_gits_error(tmp_path, monkeypatch):

@@ -26,13 +26,13 @@ from test_mining import synth_record
     (".util.helper", Origin.PROJECT_LOCAL),
 ])
 def test_call_origin_cases(label, expected):
-    assert call_origin(label) is expected
+    assert call_origin(label)[0] is expected
 
 
 def test_call_origin_project_modules():
     assert call_origin("mypkg.util.run",
-                       project_modules={"mypkg"}) is Origin.PROJECT_LOCAL
-    assert call_origin("mypkg.util.run") is Origin.EXTERNAL
+                       project_modules={"mypkg"})[0] is Origin.PROJECT_LOCAL
+    assert call_origin("mypkg.util.run")[0] is Origin.EXTERNAL
 
 
 def _pair_pattern(label_b: str, label_a: str,

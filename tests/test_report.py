@@ -36,7 +36,7 @@ def mined_patterns(tmp_path):
 
 def test_dot_export_structure(tmp_path):
     *_, patterns = mined_patterns(tmp_path)
-    dot = export_graph(patterns.patterns[0].graph, "dot")
+    dot = export_graph(patterns.patterns[0].graph)
     assert dot.startswith("digraph pattern {")
     assert "cluster_before" in dot and "cluster_after" in dot
     assert "style=dashed" in dot
@@ -50,15 +50,17 @@ def test_single_seed_pattern_dot_has_two_nodes_one_dashed_edge():
         (TNode("Before", "Operation", "call", "?.add"),
          TNode("After", "Operation", "call", "?.update")),
         frozenset(), frozenset({(0, 1)}))
-    dot = export_graph(seed, "dot")
+    dot = export_graph(seed)
     assert dot.count("[label=") == 2
     assert dot.count("style=dashed") == 1
 
 
-def test_structured_text_round_trip(tmp_path):
-    *_, patterns = mined_patterns(tmp_path)
+def test_graph_json_round_trip(tmp_path):
+    corpus_index, repos, patterns = mined_patterns(tmp_path)
+    out = tmp_path / "patterns"
+    write_pattern_set(patterns, out, corpus_index, repos, {})
     original = patterns.patterns[0].graph
-    text = export_graph(original, "structured-text")
+    text = (out / pattern_dir_name(0) / "graph.json").read_text()
     parsed = graph_from_dict(json.loads(text))
     assert exact_isomorphic(original, parsed)
     assert graph_to_dict(parsed) == graph_to_dict(original)

@@ -191,22 +191,22 @@ def test_import_table_cases():
         "from os.path import *\n"
     )
     table = build_import_table(parse_module(source))
-    assert table.aliases["np"] == "numpy"
-    assert table.aliases["os"] == "os"
-    assert table.aliases["deepcopy"] == "copy.deepcopy"
-    assert table.aliases["OD"] == "collections.OrderedDict"
-    assert table.aliases.keys() == {"np", "os", "deepcopy", "OD"}
+    assert table["np"] == "numpy"
+    assert table["os"] == "os"
+    assert table["deepcopy"] == "copy.deepcopy"
+    assert table["OD"] == "collections.OrderedDict"
+    assert table.keys() == {"np", "os", "deepcopy", "OD"}
 
 
 def test_relative_imports_keep_leading_dots():
     table = build_import_table(parse_module("from .util import helper\nfrom . import sibling\n"))
-    assert table.aliases["helper"] == ".util.helper"
-    assert table.aliases["sibling"] == ".sibling"
+    assert table["helper"] == ".util.helper"
+    assert table["sibling"] == ".sibling"
 
 
 def test_empty_file_gives_empty_table():
     table = build_import_table(parse_module(""))
-    assert table.aliases == {}
+    assert table == {}
 
 
 def test_import_table_is_pure_function_of_tree():
@@ -214,7 +214,7 @@ def test_import_table_is_pure_function_of_tree():
     tree = parse_module(source)
     first = build_import_table(tree)
     second = build_import_table(tree)
-    assert first.aliases == second.aliases
+    assert first == second
 
 
 _names = st.sampled_from(["a", "b", "data", "value"])
@@ -275,7 +275,7 @@ def test_try_clauses_number_defs_in_tree_order():
     units, table = _matches_full_tree_frontend(source)
     assert [u.qualified_name for u in units] == ["m.f", "m.f#2", "m.f#3", "m.f#4"]
     assert [u.line_range[0] for u in units] == [3, 7, 11, 14]
-    assert table.aliases == {"x": "e", "y": "d"}
+    assert table == {"x": "e", "y": "d"}
 
 
 def test_defs_in_match_cases_are_units():
@@ -292,7 +292,7 @@ def test_defs_in_match_cases_are_units():
     units, table = _matches_full_tree_frontend(source)
     assert [u.qualified_name for u in units] == \
         ["m.dispatch", "m.dispatch.handler", "m.dispatch.handler#2"]
-    assert table.aliases == {"pick": "mod.one"}
+    assert table == {"pick": "mod.one"}
 
 
 def test_decorated_and_async_defs():
