@@ -6,34 +6,45 @@ nodes into change graphs, then mine frequent change subgraphs seeded at mapped
 function-call pairs.
 """
 
-from .changegraph import Provenance, build_change_graph, mark_changed
-from .history import (ChangeGraphStore, CommitFilter, RepoSpec,
-                      RepoUnavailable, change_graph_for_pair, mine_repository,
-                      read_repos_file)
-from .mapping import TreeMapping, map_asts, project_mapping
-from .mining import (MiningConfig, PatternGraph, PatternRecord, PatternSet,
-                     canonical_key, collect_seeds, exact_isomorphic, extend,
-                     filter_cross_project, filter_maximal, mine)
-from .origins import Origin, StructuralCategory, call_origin, structural_category
-from .pdg import FgEdge, FgNode, Fgpdg, build_fgpdg, resolve_callee
-from .report import export_graph, render_html, stats_report, write_pattern_set
-from .source import (AstNode, FunctionUnit, UnsupportedConstruct,
-                     build_import_table, extract_functions, parse_module,
-                     parse_source)
+from importlib import import_module
 
-__version__ = "0.1.0"
+from .store import TOOL_VERSION as __version__
 
-__all__ = [
-    "AstNode", "ChangeGraphStore", "CommitFilter", "FgEdge",
-    "FgNode", "Fgpdg", "FunctionUnit", "MiningConfig",
-    "Origin", "PatternGraph", "PatternRecord", "PatternSet", "Provenance",
-    "RepoSpec", "RepoUnavailable", "StructuralCategory",
-    "TreeMapping", "UnsupportedConstruct", "build_change_graph",
-    "build_fgpdg", "build_import_table", "call_origin", "canonical_key",
-    "change_graph_for_pair", "collect_seeds", "exact_isomorphic",
-    "export_graph", "extend", "extract_functions", "filter_cross_project",
-    "filter_maximal", "map_asts", "mark_changed", "mine", "mine_repository",
-    "parse_module", "parse_source", "project_mapping", "read_repos_file",
-    "render_html", "resolve_callee", "stats_report", "structural_category",
-    "write_pattern_set",
-]
+# The module that defines each exported name. A name is imported on first
+# use (PEP 562), so importing the package, or one command's modules, does
+# not load the layers that only another command runs.
+_EXPORTS = {
+    "changegraph": ("Provenance", "build_change_graph", "mark_changed"),
+    "history": ("RepoSpec", "RepoUnavailable", "change_graph_for_pair",
+                "mine_repository", "read_repos_file"),
+    "mapping": ("TreeMapping", "map_asts", "project_mapping"),
+    "mining": ("MiningConfig", "PatternGraph", "PatternRecord", "PatternSet",
+               "canonical_key", "collect_seeds", "exact_isomorphic", "extend",
+               "filter_cross_project", "filter_maximal", "mine"),
+    "origins": ("Origin", "StructuralCategory", "call_origin",
+                "structural_category"),
+    "pdg": ("FgEdge", "FgNode", "Fgpdg", "build_fgpdg", "resolve_callee"),
+    "report": ("export_graph", "render_html", "stats_report",
+               "write_pattern_set"),
+    "source": ("AstNode", "FunctionUnit", "UnsupportedConstruct",
+               "build_import_table", "extract_functions", "parse_module",
+               "parse_source"),
+    "store": ("ChangeGraphStore", "CommitFilter"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -16,14 +16,12 @@ import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .history import (SCHEMA_VERSION, ChangeGraphStore, CommitFilter,
-                      RepoUnavailable, mine_repository, read_repos_file,
-                      repo_summary)
 from .mining import MiningConfig, load_corpus, mine
 from .origins import structural_category
 from .report import (export_graph, graph_from_dict, load_pattern_dir,
                      remove_stale, render_html, stats_report,
                      write_pattern_set)
+from .store import SCHEMA_VERSION, ChangeGraphStore, CommitFilter
 
 log = logging.getLogger("changeminer")
 
@@ -157,13 +155,16 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _mine(args: argparse.Namespace) -> int:
+    # Only mine needs git plumbing, the parser and the graph layers.
+    from . import history
+
     values = _merged(args)
     jobs = values.pop("jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, not {jobs}")
     filt = CommitFilter(**values)
     try:
-        specs = read_repos_file(args.repos)
+        specs = history.read_repos_file(args.repos)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read repos file: {exc}") from None
     if not specs:
@@ -177,11 +178,12 @@ def _mine(args: argparse.Namespace) -> int:
     failures = []
     for spec in specs:
         try:
-            info = mine_repository(spec, filt, store, jobs)
-        except RepoUnavailable as exc:
+            info = history.mine_repository(spec, filt, store, jobs)
+        except history.RepoUnavailable as exc:
             failures.append(spec.repo_id)
             log.warning("repository %s unavailable: %s", spec.repo_id, exc)
-            repos_info[spec.repo_id] = {**repo_summary(spec), "unavailable": True}
+            repos_info[spec.repo_id] = {**history.repo_summary(spec),
+                                        "unavailable": True}
             continue
         repos_info[spec.repo_id] = info
         total += info["graphs"]

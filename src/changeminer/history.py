@@ -1,9 +1,10 @@
 """Git history traversal: pair file revisions, match functions, stream change graphs.
 
-Commits are processed independently (optionally in parallel). The store holds
-the records in memory and writes them once, on finalize, sorted by (repo_id,
-commit_hash, file_path, function), so output does not depend on worker count
-and an interrupted run leaves the previous store whole.
+Commits are processed independently (optionally in parallel). The store
+(``store.ChangeGraphStore``) holds the records in memory and writes them
+once, on finalize, sorted by (repo_id, commit_hash, file_path, function), so
+output does not depend on worker count and an interrupted run leaves the
+previous store whole.
 
 ``mine`` talks to git through two processes per repository. One ``git log
 --raw`` lists the commits with the raw diff of each against its first parent.
@@ -19,13 +20,11 @@ collector off.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import re
 import subprocess
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -41,11 +40,11 @@ from .source import (FunctionUnit, UnsupportedConstruct,
 # here: perfbench/child.py wraps each layer where history looks it up, and
 # its table still lists history.parse_source.
 from .source import parse_source  # noqa: F401
+# Defined in store; tests and perfbench/child.py read them from here too.
+from .store import ChangeGraphStore, CommitFilter
 
 log = logging.getLogger(__name__)
 
-TOOL_VERSION = "0.1.0"
-SCHEMA_VERSION = 1
 # Per-repository counters in the store manifest; each is a sum over commits,
 # so it does not depend on the worker count.
 REPO_COUNTERS = ("function_pairs", "pairs_unchanged", "unsupported",
@@ -61,17 +60,6 @@ class RepoSpec:
     url_or_path: str
     repo_id: str
     domain_tag: str = ""
-
-
-@dataclass
-class CommitFilter:
-    skip_merges: bool = True
-    max_files_per_commit: int = 50
-    path_glob: str = "**/*.py"
-
-    def __post_init__(self):
-        if self.max_files_per_commit < 1:
-            raise ValueError("max_files_per_commit must be >= 1")
 
 
 @dataclass
@@ -178,12 +166,18 @@ def list_commits(repo_path: str) -> list[CommitInfo]:
 
 
 def _glob_to_regex(pattern: str) -> re.Pattern:
+    """Regex of a ``--path-glob``: ``**/`` is zero or more directories, a
+    ``**`` that is the whole last component is any remaining path, ``*`` and
+    ``?`` stay within one component, and everything else is literal."""
     out = []
     i = 0
     while i < len(pattern):
         if pattern.startswith("**/", i):
             out.append(r"(?:.*/)?")
             i += 3
+        elif pattern[i:] == "**" and (i == 0 or pattern[i - 1] == "/"):
+            out.append(r".*")
+            i += 2
         elif pattern[i] == "*":
             out.append(r"[^/]*")
             i += 1
@@ -433,74 +427,6 @@ def change_graph_for_pair(unit_b: FunctionUnit, unit_a: FunctionUnit,
 
 
 # ---------------------------------------------------------------------------
-# Store
-# ---------------------------------------------------------------------------
-
-
-class ChangeGraphStore:
-    """Line-delimited record store with a manifest, written once on finalize."""
-
-    RECORDS = "records.jsonl"
-    MANIFEST = "manifest.json"
-
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        self._records_path = self.root / self.RECORDS
-        self._manifest_path = self.root / self.MANIFEST
-        self._pending: list[tuple[tuple[str, ...], str]] = []  # (sort key, line)
-
-    def append(self, record: dict) -> None:
-        """Hold a record, serialized, for ``finalize``; nothing is written yet."""
-        prov = record["provenance"]
-        key = (prov["repo_id"], prov["commit_hash"], prov["file_path"], prov["function"])
-        self._pending.append((key, json.dumps(record, sort_keys=True)))
-
-    def iter_records(self):
-        if not self._records_path.exists():
-            return
-        with open(self._records_path, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    yield json.loads(line)
-
-    def finalize(self, config: dict, repos: dict) -> None:
-        """Replace the records and manifest with the held records, sorted.
-
-        Both files are written to temporary files beside them first, and
-        replace them only once both are whole: a failure leaves the previous
-        store as it was.
-        """
-        self._pending.sort(key=lambda item: item[0])
-        self.root.mkdir(parents=True, exist_ok=True)
-        staged = {path: path.with_name(path.name + ".tmp")
-                  for path in (self._records_path, self._manifest_path)}
-        manifest = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": TOOL_VERSION,
-            "config": config,
-            "record_count": len(self._pending),
-            "repos": repos,
-        }
-        try:
-            with open(staged[self._records_path], "w", encoding="utf-8") as handle:
-                for _, line in self._pending:
-                    handle.write(line + "\n")
-            with open(staged[self._manifest_path], "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, sort_keys=True, indent=2)
-                handle.write("\n")
-            for path, temporary in staged.items():
-                os.replace(temporary, path)
-        finally:
-            for temporary in staged.values():
-                temporary.unlink(missing_ok=True)
-
-    def manifest(self) -> dict:
-        if not self._manifest_path.exists():
-            return {}
-        return json.loads(self._manifest_path.read_text())
-
-
-# ---------------------------------------------------------------------------
 # Repository mining
 # ---------------------------------------------------------------------------
 
@@ -530,6 +456,10 @@ def mine_repository(spec: RepoSpec, filt: CommitFilter,
     roots: set[str] = set()
     counts: Counter = Counter()
     if jobs > 1 and len(commits) > 1:
+        # Imported here: it brings multiprocessing, pickle and socket, which
+        # a serial run does not need.
+        from concurrent.futures import ProcessPoolExecutor
+
         # The pool forks all its workers at the first submit, so it gets no
         # more than there are commits. Chunks of one commit let any idle worker
         # take the next one.

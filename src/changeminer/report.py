@@ -12,8 +12,8 @@ import re
 import shutil
 from pathlib import Path
 
-from .history import SCHEMA_VERSION, TOOL_VERSION
 from .mining import CorpusGraph, PatternGraph, PatternRecord, PatternSet, TNode
+from .store import SCHEMA_VERSION, TOOL_VERSION
 
 _NODE_SHAPES = {"Data": "ellipse", "Operation": "box", "Control": "diamond"}
 

@@ -2,19 +2,24 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import changeminer
-from changeminer import cli, history, mapping, mining, source
+from changeminer import cli, history, mapping, mining, source, store
 from changeminer.cli import main, read_config_file
 from changeminer.history import REPO_COUNTERS, ChangeGraphStore
 from changeminer.report import load_pattern_dir
 
 from gitrepos import commit_files, init_repo
 from test_history import COPY_AFTER, COPY_BEFORE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -72,12 +77,13 @@ def test_mine_empty_repos_file_exits_one(tmp_path):
 def test_mine_leaves_the_cycle_collector_as_it_found_it(tmp_path, small_repo,
                                                        monkeypatch, enabled):
     during = []
+    real_mine_repository = history.mine_repository
 
     def mine_repository(*args):
         during.append(gc.isenabled())
-        return history.mine_repository(*args)
+        return real_mine_repository(*args)
 
-    monkeypatch.setattr(cli, "mine_repository", mine_repository)
+    monkeypatch.setattr(history, "mine_repository", mine_repository)
     good = write_repos(tmp_path, [f"good {small_repo}"])
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
@@ -92,6 +98,37 @@ def test_mine_leaves_the_cycle_collector_as_it_found_it(tmp_path, small_repo,
     finally:
         gc.enable()
     assert during == [False]
+
+
+# Modules only mine's per-commit path runs: git plumbing, the parser, the
+# graph layers and the process pool.
+MINE_ONLY = ("changeminer.history", "changeminer.source", "changeminer.pdg",
+             "changeminer.mapping", "changeminer.changegraph",
+             "concurrent.futures.process")
+
+
+def _mine_only_loaded(code: str, *args: str) -> list[str]:
+    """The MINE_ONLY modules a fresh interpreter holds after running code."""
+    probe = (code + "\nimport sys\n"
+             f"print(*[m for m in {MINE_ONLY!r} if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_importing_the_cli_loads_no_mining_layer():
+    assert _mine_only_loaded("import changeminer.cli") == []
+
+
+def test_serial_mine_does_not_load_the_process_pool(tmp_path, small_repo):
+    run = ("import sys\nfrom changeminer.cli import main\n"
+           "assert main(['mine', '--repos', sys.argv[1], '--out', sys.argv[2],"
+           " '--jobs', '1']) == 0")
+    loaded = _mine_only_loaded(run, write_repos(tmp_path, [f"r1 {small_repo}"]),
+                               str(tmp_path / "store"))
+    assert "changeminer.history" in loaded
+    assert "concurrent.futures.process" not in loaded
 
 
 def test_mine_with_unreachable_repo_warns_but_succeeds(tmp_path, small_repo, capsys):
@@ -451,7 +488,7 @@ def test_config_file_rejects_another_commands_keys(tmp_path, small_repo,
     assert not (tmp_path / "patterns").exists()
 
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 
 
 def _flags(text: str) -> set[str]:
@@ -508,6 +545,23 @@ def test_readme_library_use_imports_and_all_resolve():
     missing = [name for name in changeminer.__all__
                if not hasattr(changeminer, name)]
     assert not missing
+
+
+def test_exports_load_on_first_use_as_the_defining_modules_names():
+    assert set(changeminer.__all__) <= set(dir(changeminer))
+    for name in changeminer.__all__:
+        module = sys.modules[getattr(changeminer, name).__module__]
+        assert getattr(module, name) is getattr(changeminer, name)
+    assert changeminer.ChangeGraphStore is history.ChangeGraphStore \
+        is cli.ChangeGraphStore
+    with pytest.raises(AttributeError):
+        changeminer.no_such_name
+
+
+def test_the_version_is_pyprojects():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    [version] = re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    assert changeminer.__version__ == store.TOOL_VERSION == version
 
 
 @pytest.mark.parametrize("module, name", [(source, "MAX_NESTING"),

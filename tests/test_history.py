@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import concurrent.futures
 import json
 import logging
 import os
@@ -488,7 +489,7 @@ def test_jobs_give_the_same_store_around_the_nesting_bound(tmp_path, monkeypatch
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(history, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     stores = []
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}"
@@ -701,6 +702,27 @@ def test_read_repos_file_rejects_duplicates(tmp_path):
         read_repos_file(listing)
 
 
+def test_a_trailing_double_star_matches_any_remaining_path(tmp_path):
+    repo = init_repo(tmp_path / "repo")
+    files = ("src/a.py", "src/pkg/b.py", "src/pkg/sub/c.py", "lib/d.py")
+    commit_files(repo, {path: "def f():\n    return 1\n" for path in files},
+                 "initial")
+    commit_files(repo, {path: "def f():\n    return 2\n" for path in files},
+                 "edit")
+    edit = list_commits(str(repo))[-1]
+
+    def matched(glob):
+        return [path for _, _, path in
+                pairs_of(repo, edit, CommitFilter(path_glob=glob))]
+
+    assert matched("src/**") == ["src/a.py", "src/pkg/b.py", "src/pkg/sub/c.py"]
+    assert matched("**") == ["lib/d.py", *matched("src/**")]
+    # Only a whole last component is any path: elsewhere ** is two *.
+    assert matched("src/pkg/b**") == ["src/pkg/b.py"]
+    assert matched("src/**/c.py") == ["src/pkg/sub/c.py"]
+    assert matched("src/*") == ["src/a.py"]
+
+
 def test_module_path_for():
     assert module_path_for("pkg/mod.py") == "pkg.mod"
     assert module_path_for("pkg/__init__.py") == "pkg"
@@ -725,7 +747,7 @@ def test_parallel_mining_matches_serial(tmp_path, monkeypatch):
             pools[-1].append(chunksize)
             return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
 
-    monkeypatch.setattr(history, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     serial = ChangeGraphStore(tmp_path / "serial")
     spec = RepoSpec(str(repo), "r1")
     info_s = mine_repository(spec, CommitFilter(), serial, jobs=1)
