@@ -210,7 +210,7 @@ def cmd_patterns(args: argparse.Namespace) -> int:
                          f"{manifest.get('schema_version')!r} does not match "
                          f"{SCHEMA_VERSION}")
 
-    corpus = load_corpus(store)
+    corpus = load_corpus(store.iter_records())
     corpus_index = {graph.id: graph for graph in corpus}
     patterns = mine(corpus, cfg)
 

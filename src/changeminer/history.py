@@ -254,8 +254,10 @@ class BlobReader:
 
 
 def pair_modified_files(commit: CommitInfo, filt: CommitFilter,
-                        blobs: BlobReader) -> list[tuple[str, str, str]]:
-    """(before_text, after_text, path) for each modified file matching the glob.
+                        blobs: BlobReader) -> list[tuple[bytes, bytes, str]]:
+    """(before_bytes, after_bytes, path) for each modified file matching the glob.
+
+    The blobs stay undecoded: ``parse_module`` decides their encoding.
 
     Renames are disabled in the diff so they surface as delete+add and drop
     out; commits touching more files than the cap are skipped entirely.
@@ -270,10 +272,7 @@ def pair_modified_files(commit: CommitInfo, filt: CommitFilter,
     for status, before_blob, after_blob, path in commit.changes:
         if status != "M" or not matcher.match(path):
             continue
-        before = blobs.read(before_blob)
-        after = blobs.read(after_blob)
-        pairs.append((before.decode("utf-8", errors="replace"),
-                      after.decode("utf-8", errors="replace"), path))
+        pairs.append((blobs.read(before_blob), blobs.read(after_blob), path))
     return pairs
 
 
@@ -312,12 +311,12 @@ def graphs_for_commit(spec: RepoSpec, commit: CommitInfo, filt: CommitFilter,
     roots: set[str] = set()
     counts: Counter = Counter()
     author_hash = hash_email(commit.author_email)
-    for before_text, after_text, path in pair_modified_files(commit, filt, blobs):
+    for before, after, path in pair_modified_files(commit, filt, blobs):
         module_path = module_path_for(path)
         roots.add(module_path.split(".")[0])
         try:
-            module_b = parse_module(before_text)
-            module_a = parse_module(after_text)
+            module_b = parse_module(before)
+            module_a = parse_module(after)
         except (SyntaxError, RecursionError, ValueError) as exc:
             # ast.parse refuses a file too deep for it with RecursionError
             # (3.11 on) and a NUL byte with ValueError (3.10).

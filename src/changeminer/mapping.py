@@ -35,8 +35,6 @@ from .source import AstNode
 MIN_HEIGHT = 2
 # Least Dice coefficient at which the bottom-up phase pairs two containers.
 DICE_THRESHOLD = 0.5
-# Most candidates compared per subtree, and leaves paired per label group.
-MAX_SUBTREE_COMPARE = 100
 
 
 @dataclass
@@ -157,7 +155,7 @@ def _match_top_down(t1: _TreeIndex, t2: _TreeIndex,
             for node_b in candidates_b:
                 if not candidates_a:
                     break
-                node_a = min(candidates_a[:MAX_SUBTREE_COMPARE],
+                node_a = min(candidates_a,
                              key=lambda n: abs(t1.index[node_b] - t2.index[n]))
                 candidates_a.remove(node_a)
                 # Equal fingerprints, equal shapes: pair node for node.
@@ -204,7 +202,9 @@ def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,
                     mapping: TreeMapping) -> bool:
     """Pair equal leaves and sole children under matched containers.
 
-    Returns whether a pair was added.
+    Each (kind, label) group is zipped whole, so a container pair visited in
+    a later pass has no equal unmatched leaves left below it. Returns whether
+    a pair was added.
     """
     size = len(mapping)
     # Innermost containers claim their leaves first (postorder of before tree).
@@ -222,8 +222,7 @@ def _recover_leaves(t1: _TreeIndex, t2: _TreeIndex,
                 if key in groups:
                     groups[key][1].append(leaf)
         for leaves_b, leaves_a in groups.values():  # disjoint, in preorder
-            for leaf_b, leaf_a in zip(leaves_b[:MAX_SUBTREE_COMPARE],
-                                      leaves_a[:MAX_SUBTREE_COMPARE]):
+            for leaf_b, leaf_a in zip(leaves_b, leaves_a):
                 mapping.add(leaf_b, leaf_a)
         _pair_unique_children(container_b, container_a, mapping)
     return len(mapping) > size

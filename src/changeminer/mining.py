@@ -148,14 +148,11 @@ class CorpusGraph:
         for b, a in record["map_edges"]:
             self.incident[b].append((MAP, "", "out", a))
             self.incident[a].append((MAP, "", "in", b))
-        for entries in self.incident.values():
-            entries.sort()
         self.map_call_pairs = _call_pairs(self.nodes, record["map_edges"])
 
 
-def load_corpus(store) -> list[CorpusGraph]:
-    """Accepts a ChangeGraphStore or an iterable of record dicts."""
-    records = store.iter_records() if hasattr(store, "iter_records") else store
+def load_corpus(records) -> list[CorpusGraph]:
+    """The graphs of an iterable of store records, sorted by id."""
     graphs = [CorpusGraph(r) for r in records]
     graphs.sort(key=lambda g: g.id)
     return graphs
@@ -169,22 +166,18 @@ def load_corpus(store) -> list[CorpusGraph]:
 def collect_seeds(corpus: list[CorpusGraph], cfg: MiningConfig | None = None):
     """Mapped call pairs grouped by (before label, after label).
 
-    A same-label group is pruned when none of its member graphs has a changed
-    node, since it could never grow into a pattern containing a change. In a
-    store that ``mine`` wrote every graph has one, so only hand-built records
-    are pruned. ``cfg`` is unused here: ``mine`` passes it because the
-    benchmark's traced run wraps this function by name
-    (``perfbench/child.py``'s ``counted_seeds``) and reads ``min_freq`` from it.
+    A group whose graphs have no changed node grows only templates that
+    ``mine`` never collects; a store that ``mine`` wrote holds no such graph.
+    ``cfg`` is unused here: ``mine`` passes it because the benchmark's traced
+    run wraps this function by name (``perfbench/child.py``'s
+    ``counted_seeds``) and reads ``min_freq`` from it.
     """
     groups: dict[tuple[str, str], list[tuple[str, int, int]]] = {}
     for graph in corpus:
         for b, a in graph.map_call_pairs:
             key = (graph.nodes[b].label, graph.nodes[a].label)
             groups.setdefault(key, []).append((graph.id, b, a))
-    changed_ids = {graph.id for graph in corpus if graph.changed}
-    return {key: sorted(members) for key, members in groups.items()
-            if key[0] != key[1]
-            or any(gid in changed_ids for gid, _, _ in members)}
+    return {key: sorted(members) for key, members in groups.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -207,12 +200,7 @@ def extend(pattern: PatternGraph, instances: list[Instance], corpus_index: dict,
     direction seen from the attachment). Once the instance is read, each group
     it joined keeps only the links it shares with that neighbour's full set.
     Only the groups whose members reach ``min_freq`` graphs get a template.
-
-    Groups sort by falling support, then by key, which is also the order of
-    the key joined by ``|`` with ``attach`` in four digits: ``attach`` stays
-    below 10 000, every later field but the last (the node label) comes from
-    a prefix-free vocabulary (edge kinds, edge labels, directions, versions,
-    node kinds, subkinds), so the first field that differs decides both.
+    Groups sort by falling support, then by key.
     """
     groups: dict[tuple, list[Instance]] = {}
     shared: dict[tuple, set[tuple[int, str, str, str]]] = {}

@@ -249,12 +249,7 @@ def _span_of(node: ast.AST) -> Span:
     lineno = getattr(node, "lineno", None)
     if lineno is None:
         return _NO_SPAN
-    end_lineno = getattr(node, "end_lineno", None) or lineno
-    col = getattr(node, "col_offset", 0)
-    end_col = getattr(node, "end_col_offset", None)
-    if end_col is None:
-        end_col = col
-    return (lineno, col, end_lineno, end_col)
+    return (lineno, node.col_offset, node.end_lineno, node.end_col_offset)
 
 
 _OPERATORS = (ast.expr_context, ast.operator, ast.boolop, ast.unaryop, ast.cmpop)

@@ -952,7 +952,7 @@ def _git(repo_path: str, *args: str) -> bytes:
 
 
 def reference_pair_modified_files(repo_path: str, commit: CommitInfo,
-                                  filt: CommitFilter) -> list[tuple[str, str, str]]:
+                                  filt: CommitFilter) -> list[tuple[bytes, bytes, str]]:
     """``pair_modified_files`` from a diff-tree against the first parent."""
     # -z: each entry is ":modes blobs status" and then its path, NUL-separated
     # and unquoted.
@@ -967,8 +967,6 @@ def reference_pair_modified_files(repo_path: str, commit: CommitInfo,
     for (_, _, before_blob, after_blob, status), path in entries:
         if status != "M" or not matcher.match(path):
             continue
-        before = _git(repo_path, "cat-file", "blob", before_blob)
-        after = _git(repo_path, "cat-file", "blob", after_blob)
-        pairs.append((before.decode("utf-8", errors="replace"),
-                      after.decode("utf-8", errors="replace"), path))
+        pairs.append((_git(repo_path, "cat-file", "blob", before_blob),
+                      _git(repo_path, "cat-file", "blob", after_blob), path))
     return pairs

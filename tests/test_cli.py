@@ -567,8 +567,7 @@ def test_the_version_is_pyprojects():
 @pytest.mark.parametrize("module, name", [(source, "MAX_NESTING"),
                                           (source, "UNPARSE_NESTING"),
                                           (mining, "SEED_WORK_BOUND"),
-                                          (mapping, "MIN_HEIGHT"),
-                                          (mapping, "MAX_SUBTREE_COMPARE")])
+                                          (mapping, "MIN_HEIGHT")])
 def test_readme_states_each_fixed_bound(module, name):
     # README states a bound, thousands spaced, as "250 000 (`SEED_WORK_BOUND`"
     # or as "`MAX_NESTING` (300)".

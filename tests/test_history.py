@@ -128,9 +128,9 @@ def test_paths_that_git_quotes_are_kept(tmp_path):
     commits = list_commits(str(repo))
     pairs = pairs_of(repo, commits[1])
     assert [(p[2], p[1]) for p in pairs] == [
-        ("pkg/café.py", "def f():\n    return 2\n"),
-        ("pkg/caf\ufffd.py", "def h():\n    return 2\n"),
-        ("pkg/plain.py", "def g():\n    return 2\n")]
+        ("pkg/café.py", b"def f():\n    return 2\n"),
+        ("pkg/caf\ufffd.py", b"def h():\n    return 2\n"),
+        ("pkg/plain.py", b"def g():\n    return 2\n")]
 
 
 def test_commit_over_file_cap_is_skipped_entirely(tmp_path):
@@ -269,7 +269,8 @@ def test_a_commit_of_2000_files_is_read_through_one_reader(tmp_path):
     assert not worker.is_alive()
     [pairs] = result
     assert sorted(pairs, key=lambda p: int(p[2][5:-3])) == [
-        (f"X = {i}\n", f"X = 1 + {i}\n", f"pkg/m{i}.py") for i in range(2000)]
+        (f"X = {i}\n".encode(), f"X = 1 + {i}\n".encode(), f"pkg/m{i}.py")
+        for i in range(2000)]
 
 
 @pytest.fixture

@@ -226,6 +226,37 @@ def test_bottom_up_pairs_the_nearer_of_equally_scored_candidates():
     assert partial.after_of(container_b) is near_a
 
 
+def test_one_recovery_pass_pairs_a_whole_leaf_group():
+    n1 = _tree(("Block", "", [("Name", "x", [])] * 150))
+    n2 = _tree(("Block", "", [("Name", "x", [])] * 150))
+    mapping = TreeMapping()
+    mapping.add(n1, n2)
+    interned: dict = {}
+    assert _recover_leaves(_TreeIndex(n1, interned), _TreeIndex(n2, interned),
+                           mapping)
+    assert mapping.pairs[1:] == list(zip(n1.children, n2.children))
+
+
+def test_top_down_pairs_the_nearest_of_every_open_candidate():
+    # 150 equal Call subtrees per side. 200 padding leaves put the first
+    # before Call at the preorder index of the 101st after Call, so the
+    # nearest open partner of each of the first 50 lies beyond the first 100
+    # open candidates; the rest then take the nearest left over.
+    call = ("Call", "", [("Name", "f", [])])
+    n1 = _tree(("Module", "", [("Pad", str(i), []) for i in range(200)] + [call] * 150))
+    n2 = _tree(("Module", "", [call] * 150))
+    interned: dict = {}
+    t1, t2 = _TreeIndex(n1, interned), _TreeIndex(n2, interned)
+    mapping = TreeMapping()
+    _match_top_down(t1, t2, mapping)
+    open_a = n2.children[:]
+    for node_b in n1.children[200:]:
+        nearest = min(open_a, key=lambda n: abs(t1.index[node_b] - t2.index[n]))
+        open_a.remove(nearest)
+        assert mapping.after_of(node_b) is nearest
+    assert mapping.after_of(n1.children[200]) is n2.children[100]
+
+
 _tree_strategy = st.recursive(
     st.sampled_from([("Name", "x"), ("Name", "y"), ("Literal", "1")]).map(
         lambda kl: (kl[0], kl[1], [])),
@@ -257,6 +288,22 @@ def test_random_pairs_stay_injective(spec1, spec2):
     below_roots = [(b, a) for b, a in mapping.pairs if not (b is t1 and a is t2)]
     assert all(b.is_leaf() == a.is_leaf() for b, a in below_roots)
     assert all(b.label == a.label for b, a in below_roots if b.is_leaf())
+
+
+@given(_tree_strategy, _tree_strategy)
+def test_no_matched_containers_keep_equal_unmatched_leaves(spec1, spec2):
+    # Recovery zips whole leaf groups, so a later recovery pass over an
+    # already visited container pair finds nothing left to pair.
+    t1, t2 = _tree(spec1), _tree(spec2)
+    mapping = map_asts(t1, t2)
+    for container_b, container_a in mapping.pairs:
+        if container_b.is_leaf() or container_a.is_leaf():
+            continue
+        open_b = {(n.kind, n.label) for n in container_b.preorder()
+                  if n.is_leaf() and not mapping.has_before(n)}
+        open_a = {(n.kind, n.label) for n in container_a.preorder()
+                  if n.is_leaf() and not mapping.has_after(n)}
+        assert not open_b & open_a
 
 
 @given(_tree_strategy, _tree_strategy)

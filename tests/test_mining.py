@@ -80,15 +80,30 @@ def test_low_support_group_retained_but_never_mined():
     assert result.patterns == []
 
 
-def test_unchanged_far_seed_group_pruned():
-    # print<->print pair with no changed node anywhere in the graph
-    record = synth_record(
-        "g1", "r1",
+def _outcome(result) -> tuple:
+    return ([(r.canonical_key, r.graph, r.instances, r.project_ids)
+             for r in result.patterns], result.warnings)
+
+
+def test_seed_group_with_no_changed_node_adds_no_pattern():
+    # Every template grown from the print -> print group holds that call
+    # pair, so it lies only in the group's graphs, none of which has a
+    # changed node: mine collects none of them, whatever else it searches.
+    unchanged = [synth_record(
+        f"u{i}", f"r{i}",
         nodes=[("Operation", "call", "print", "Before"),
-               ("Operation", "call", "print", "After")],
-        maps=[(0, 1)], changed=())
-    seeds = collect_seeds(load_corpus([record]))
-    assert ("print", "print") not in seeds
+               ("Data", "var", "var", "Before"),
+               ("Operation", "call", "print", "After"),
+               ("Data", "var", "var", "After")],
+        edges=[(1, 0, "Data", "para"), (3, 2, "Data", "para")],
+        maps=[(0, 2), (1, 3)], changed=()) for i in range(3)]
+    fig2 = [change_record(FIG2_BEFORE, FIG2_AFTER, repo, f"c{i}")
+            for i, repo in enumerate(("ra", "rb", "rc"))]
+    for cfg in (MiningConfig(), MiningConfig(min_size=2, keep_subpatterns=True)):
+        alone = mine(load_corpus(fig2), cfg)
+        assert alone.patterns
+        assert _outcome(mine(load_corpus(fig2 + unchanged), cfg)) == _outcome(alone)
+        assert mine(load_corpus(unchanged), cfg).patterns == []
 
 
 def test_store_without_call_map_edges_gives_no_seeds():
@@ -401,14 +416,18 @@ def test_planted_fig2_corpus_yields_single_cross_project_pattern():
     assert ("?.add", "?.update") in labels
 
 
-def test_one_edit_is_one_occurrence():
-    # Three symmetric ``?.strip`` call pairs around one changed call: one
-    # change graph, so no pattern reaches the default min_freq of 3.
-    record = change_record(
+def strip_record(repo: str = "r1", commit: str = "c1") -> dict:
+    """Three symmetric ``?.strip`` call pairs around one changed call."""
+    return change_record(
         "def f(a, b, c, s):\n"
         "    return s.startswith(a.strip(), b.strip(), c.strip())\n",
         "def f(a, b, c, s):\n"
-        "    return s.endswith(a.strip(), b.strip(), c.strip())\n")
+        "    return s.endswith(a.strip(), b.strip(), c.strip())\n", repo, commit)
+
+
+def test_one_edit_is_one_occurrence():
+    # One change graph, so no pattern reaches the default min_freq of 3.
+    record = strip_record()
     assert len(CorpusGraph(record).map_call_pairs) == 4
     assert mine(load_corpus([record]), MiningConfig()).patterns == []
 
@@ -655,6 +674,33 @@ def test_filter_maximal_matches_oracle_on_mined_patterns():
         total += len(patterns)
         dominated += len(patterns) - len(kept)
     assert 0 < dominated < total
+
+
+def _shuffled_incidence(corpus: list[CorpusGraph]) -> list[CorpusGraph]:
+    rng = random.Random(0)
+    for graph in corpus:
+        for entries in graph.incident.values():
+            rng.shuffle(entries)
+    return corpus
+
+
+_INCIDENCE_CASES = {
+    "fig2": (fig2_corpus, MiningConfig(keep_subpatterns=True)),
+    # A template binds each strip graph in several ways, so the kept
+    # instance of a graph would follow the order of its bindings.
+    "strip": (lambda: load_corpus([strip_record(repo, f"c{i}")
+                                   for i, repo in enumerate(("ra", "rb", "rc"))]),
+              MiningConfig(max_size=6)),
+}
+
+
+@pytest.mark.parametrize("case", [*_INCIDENCE_CASES, *range(10)])
+def test_incidence_order_reaches_no_output(case):
+    # extend sorts its groups by key, intersects link sets, and mine sorts
+    # each pattern's instances, so no incident list needs an order.
+    corpus, cfg = _INCIDENCE_CASES.get(case, (lambda: random_corpus(case), _ORACLE_CFG))
+    assert _outcome(mine(_shuffled_incidence(corpus()), cfg)) == \
+        _outcome(mine(corpus(), cfg))
 
 
 @pytest.mark.parametrize("seed", range(10))

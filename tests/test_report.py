@@ -27,7 +27,7 @@ def mined_patterns(tmp_path):
     repos = {r: {"url": "x", "domain_tag": tag, "graphs": 1, "project_modules": []}
              for r, tag in [("ra", "Web"), ("rb", "Data"), ("rc", "Web")]}
     store = build_store(tmp_path, records, repos)
-    corpus = load_corpus(store)
+    corpus = load_corpus(store.iter_records())
     patterns = mine(corpus, MiningConfig())
     for record in patterns.patterns:
         record.category = "BUILT"
@@ -156,9 +156,9 @@ def test_stats_lists_mov_for_moved_functionality(tmp_path):
         "import copy\n\n\ndef back(cfg):\n    saved = copy.deepcopy(cfg)\n    return saved\n",
         repo, f"c{i}") for i, repo in enumerate(["ra", "rb", "rc"])]
     store = build_store(tmp_path, records)
-    patterns = mine(load_corpus(store), MiningConfig())
+    patterns = mine(load_corpus(store.iter_records()), MiningConfig())
     from changeminer.origins import structural_category
-    corpus_index = {g.id: g for g in load_corpus(store)}
+    corpus_index = {g.id: g for g in load_corpus(store.iter_records())}
     for record in patterns.patterns:
         record.category = structural_category(
             record.graph, record.instances, corpus_index).value
