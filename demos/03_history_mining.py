@@ -4,12 +4,12 @@ Creates a throwaway repository with a couple of commits, walks it with the
 history miner, and prints what lands in the change-graph store.
 """
 
-import json
 import subprocess
 import tempfile
 from pathlib import Path
 
 from changeminer import ChangeGraphStore, CommitFilter, RepoSpec, mine_repository
+from changeminer.store import checked_manifest
 
 workdir = Path(tempfile.mkdtemp(prefix="changeminer-demo-"))
 repo = workdir / "project"
@@ -67,7 +67,7 @@ for record in store.iter_records():
     for b, a in record["map_edges"]:
         print(f"    {labels[b]} <~~> {labels[a]}")
 
-manifest = json.loads((store.root / "manifest.json").read_text())
+manifest = checked_manifest(store.root)
 print(f"\nmanifest: {manifest['record_count']} records, "
       f"tool {manifest['tool_version']}")
 print(f"store kept at {store.root}")

@@ -78,6 +78,9 @@ def build_change_graph(g_b: Fgpdg, g_a: Fgpdg,
     Keeps every changed node plus the mapped unchanged nodes one edge away
     from a changed node in their own version, then adds map edges for all
     retained mapped pairs. The record's ``code`` is empty, for the caller.
+    Both edge lists come out sorted without a sort: ``Fgpdg`` sorts its edges,
+    ``node_mapping`` is in before-id order as ``project_mapping`` returns it,
+    the renumbering keeps each graph's order, and after ids follow before ids.
     """
     changed_b, changed_a = mark_changed(g_b, g_a, node_mapping)
     if not changed_b and not changed_a:
@@ -104,13 +107,8 @@ def build_change_graph(g_b: Fgpdg, g_a: Fgpdg,
                   for e in graph.edges if e.src in keep and e.dst in keep]
         remaps.append(remap)
     remap_b, remap_a = remaps
-    edges.sort()
-
-    map_edges = sorted(
-        [remap_b[b.id], remap_a[a.id]]
-        for b, a in node_mapping
-        if b.id in remap_b and a.id in remap_a
-    )
+    map_edges = [[remap_b[b.id], remap_a[a.id]] for b, a in node_mapping
+                 if b.id in remap_b and a.id in remap_a]
     changed = {remap_b[i] for i in changed_b} | {remap_a[i] for i in changed_a}
     return {
         "id": "cg-" + _stable_hash(prov.repo_id, prov.commit_hash,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import logging
 import sys
 from dataclasses import asdict, fields
@@ -18,10 +17,9 @@ from pathlib import Path
 
 from .mining import MiningConfig, load_corpus, mine
 from .origins import structural_category
-from .report import (export_graph, graph_from_dict, load_pattern_dir,
-                     remove_stale, render_html, stats_report,
-                     write_pattern_set)
-from .store import SCHEMA_VERSION, ChangeGraphStore, CommitFilter
+from .report import (holds_pattern_set, render_dot, render_html,
+                     stats_report, write_pattern_set)
+from .store import ChangeGraphStore, CommitFilter, checked_manifest, holds_store
 
 log = logging.getLogger("changeminer")
 
@@ -169,7 +167,7 @@ def _mine(args: argparse.Namespace) -> int:
         raise ValueError(f"cannot read repos file: {exc}") from None
     if not specs:
         raise ValueError("repos file lists no repositories")
-    if _holds_pattern_set(args.out):
+    if holds_pattern_set(args.out):
         raise ValueError(f"--out {args.out} holds a pattern set")
 
     store = ChangeGraphStore(args.out)
@@ -197,35 +195,20 @@ def _mine(args: argparse.Namespace) -> int:
 
 def cmd_patterns(args: argparse.Namespace) -> int:
     cfg = MiningConfig(**_merged(args))
-    store = ChangeGraphStore(args.store)
-    # A pattern set has a manifest too, but no records.
-    if not all((store.root / name).exists()
-               for name in (store.RECORDS, store.MANIFEST)):
-        raise ValueError(f"no change-graph store at {args.store}")
-    if (Path(args.out) / store.RECORDS).exists():
+    manifest = checked_manifest(args.store)
+    if holds_store(args.out):
         raise ValueError(f"--out {args.out} holds a change-graph store")
-    manifest = store.manifest()
-    if manifest.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"store schema version "
-                         f"{manifest.get('schema_version')!r} does not match "
-                         f"{SCHEMA_VERSION}")
 
-    corpus = load_corpus(store.iter_records())
+    corpus = load_corpus(ChangeGraphStore(args.store).iter_records())
     corpus_index = {graph.id: graph for graph in corpus}
     patterns = mine(corpus, cfg)
 
     repos = manifest.get("repos", {})
-    repo_modules = {
-        repo_id: set(info.get("project_modules", []))
-        for repo_id, info in repos.items()
-    }
     for record in patterns.patterns:
-        modules: set[str] = set()
-        for repo_id in record.project_ids:
-            modules |= repo_modules.get(repo_id, set())
+        modules = frozenset().union(*(repos.get(repo_id, {}).get("project_modules", [])
+                                      for repo_id in record.project_ids))
         record.category = structural_category(
-            record.graph, record.instances, corpus_index,
-            frozenset(modules)).value
+            record.graph, record.instances, corpus_index, modules).value
 
     write_pattern_set(patterns, args.out, corpus_index, repos, asdict(cfg))
     samples = sum(record.support for record in patterns.patterns)
@@ -235,15 +218,8 @@ def cmd_patterns(args: argparse.Namespace) -> int:
     return 0
 
 
-def _holds_pattern_set(path: str) -> bool:
-    # A change-graph store has a manifest too, and records.
-    root = Path(path)
-    return ((root / ChangeGraphStore.MANIFEST).exists()
-            and not (root / ChangeGraphStore.RECORDS).exists())
-
-
 def _check_pattern_set(path: str) -> None:
-    if not _holds_pattern_set(path):
+    if not holds_pattern_set(path):
         raise ValueError(f"no pattern set at {path}")
 
 
@@ -251,17 +227,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     _check_pattern_set(args.patterns)
     out = Path(args.out)
     if args.format == "html":
-        count = render_html(args.patterns, out)
-        print(f"wrote {count} pattern pages to {out}")
-        return 0
-    entries = load_pattern_dir(args.patterns)
-    out.mkdir(parents=True, exist_ok=True)
-    for entry in entries:
-        pattern = graph_from_dict(entry["graph"])
-        path = out / (entry["meta"]["name"] + ".dot")
-        path.write_text(export_graph(pattern), encoding="utf-8")
-    remove_stale(out, {entry["meta"]["name"] for entry in entries}, ".dot")
-    print(f"wrote {len(entries)} dot files to {out}")
+        print(f"wrote {render_html(args.patterns, out)} pattern pages to {out}")
+    else:
+        print(f"wrote {render_dot(args.patterns, out)} dot files to {out}")
     return 0
 
 

@@ -1,7 +1,9 @@
-"""Pattern persistence, graph exports, HTML sample views, corpus statistics.
+"""The pattern-set format: persistence, graph exports, HTML sample views, statistics.
 
-All output is byte-stable for a given input: collections are sorted before
-emission and nothing records wall-clock time.
+A pattern set holds a ``manifest.json`` and one ``pattern-NNNN`` directory per
+pattern with ``meta.json``, ``graph.json`` and ``instances.json``; each reader
+opens only the files it prints. All output is byte-stable for a given input:
+collections are sorted before emission and nothing records wall-clock time.
 """
 
 from __future__ import annotations
@@ -10,10 +12,11 @@ import html
 import json
 import re
 import shutil
+from collections import Counter
 from pathlib import Path
 
 from .mining import CorpusGraph, PatternGraph, PatternRecord, PatternSet, TNode
-from .store import SCHEMA_VERSION, TOOL_VERSION
+from .store import SCHEMA_VERSION, TOOL_VERSION, holds_store
 
 _NODE_SHAPES = {"Data": "ellipse", "Operation": "box", "Control": "diamond"}
 
@@ -114,10 +117,15 @@ def write_pattern_set(patterns: PatternSet, out_dir: str | Path,
         "repos": repos,
     }
     _dump(out / "manifest.json", manifest)
-    remove_stale(out, {pattern_dir_name(i) for i in range(len(patterns.patterns))})
+    _remove_stale(out, {pattern_dir_name(i) for i in range(len(patterns.patterns))})
 
 
-def remove_stale(out: Path, names: set[str], suffix: str = "") -> None:
+def holds_pattern_set(path: str | Path) -> bool:
+    """Whether ``path`` holds a pattern set; a store has a manifest too, and records."""
+    return (Path(path) / "manifest.json").exists() and not holds_store(path)
+
+
+def _remove_stale(out: Path, names: set[str], suffix: str = "") -> None:
     """Remove each ``pattern-NNNN<suffix>`` entry of ``out`` not in ``names``.
 
     An earlier run into the same directory may have written more patterns;
@@ -141,19 +149,31 @@ def _dump(path: Path, data) -> None:
 
 def load_pattern_dir(patterns_dir: str | Path) -> list[dict]:
     """All persisted patterns as {meta, graph, instances} dicts, sorted by name."""
+    return _read_patterns(patterns_dir, "meta", "graph", "instances")
+
+
+def _read_patterns(patterns_dir: str | Path, *names: str) -> list[dict]:
+    """Each pattern's ``<name>.json`` files as {name: content}, sorted by pattern."""
     out = []
     root = Path(patterns_dir)
     if not root.exists():
         return out
     for pdir in sorted(root.iterdir()):
-        meta_path = pdir / "meta.json"
-        if not meta_path.exists():
-            continue
-        out.append({
-            "meta": json.loads(meta_path.read_text()),
-            "graph": json.loads((pdir / "graph.json").read_text()),
-            "instances": json.loads((pdir / "instances.json").read_text()),
-        })
+        if (pdir / "meta.json").exists():
+            out.append({name: json.loads((pdir / f"{name}.json").read_text())
+                        for name in names})
+    return out
+
+
+def _write_pages(entries: list[dict], out_dir: str | Path, suffix: str,
+                 render) -> Path:
+    """Write each pattern's page, then remove the pages of patterns not there."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for entry in entries:
+        path = out / (entry["meta"]["name"] + suffix)
+        path.write_text(render(entry), encoding="utf-8")
+    _remove_stale(out, {entry["meta"]["name"] for entry in entries}, suffix)
     return out
 
 
@@ -184,6 +204,14 @@ def export_graph(pattern: PatternGraph) -> str:
         lines.append(f"  n{b} -> n{a} [style=dashed, arrowhead=none, constraint=false];")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def render_dot(patterns_dir: str | Path, out_dir: str | Path) -> int:
+    """Write one DOT file per pattern; returns the file count."""
+    entries = _read_patterns(patterns_dir, "meta", "graph")
+    _write_pages(entries, out_dir, ".dot",
+                 lambda entry: export_graph(graph_from_dict(entry["graph"])))
+    return len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +349,11 @@ approximations from callee origins.</p>
 
 def render_html(patterns_dir: str | Path, out_dir: str | Path) -> int:
     """Write one page per pattern plus an index; returns the page count."""
-    entries = load_pattern_dir(patterns_dir)
+    entries = _read_patterns(patterns_dir, "meta", "instances")
     entries.sort(key=lambda e: (-e["meta"]["support"], -e["meta"]["size"],
                                 e["meta"]["canonical_key"]))
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for entry in entries:
-        path = out / (entry["meta"]["name"] + ".html")
-        path.write_text(render_pattern_page(entry), encoding="utf-8")
+    out = _write_pages(entries, out_dir, ".html", render_pattern_page)
     (out / "index.html").write_text(render_index_page(entries), encoding="utf-8")
-    remove_stale(out, {entry["meta"]["name"] for entry in entries}, ".html")
     return len(entries)
 
 
@@ -340,37 +363,31 @@ def render_html(patterns_dir: str | Path, out_dir: str | Path) -> int:
 
 
 def stats_report(patterns_dir: str | Path) -> str:
-    entries = load_pattern_dir(patterns_dir)
+    metas = [entry["meta"] for entry in _read_patterns(patterns_dir, "meta")]
     manifest_path = Path(patterns_dir) / "manifest.json"
     repos = {}
     if manifest_path.exists():
         repos = json.loads(manifest_path.read_text()).get("repos", {})
     domain_of = {repo_id: info.get("domain_tag", "") or ""
                  for repo_id, info in repos.items()}
-
-    by_size: dict[int, int] = {}
-    by_support: dict[int, int] = {}
-    by_category: dict[str, int] = {}
-    by_domain: dict[str, int] = {}
-    cross = {"cross-project": 0, "single-project": 0}
-    for entry in entries:
-        meta = entry["meta"]
-        by_size[meta["size"]] = by_size.get(meta["size"], 0) + 1
-        by_support[meta["support"]] = by_support.get(meta["support"], 0) + 1
-        category = meta["category"] or "UNKNOWN"
-        by_category[category] = by_category.get(category, 0) + 1
-        cross["cross-project" if meta["cross_project"] else "single-project"] += 1
-        domains = {domain_of.get(pid, "") for pid in meta["project_ids"]}
-        for domain in sorted(d for d in domains if d):
-            by_domain[domain] = by_domain.get(domain, 0) + 1
-
-    sections = [f"patterns: {len(entries)}",
-                f"samples: {sum(e['meta']['support'] for e in entries)}"]
-    sections.append(_table("by size", sorted(by_size.items())))
-    sections.append(_table("by support", sorted(by_support.items())))
-    sections.append(_table("by category (heuristic)", sorted(by_category.items())))
-    sections.append(_table("by domain", sorted(by_domain.items())))
-    sections.append(_table("by project span", sorted(cross.items())))
+    # Both project spans get a row, even at 0.
+    cross = Counter({"cross-project": 0, "single-project": 0})
+    cross.update("cross-project" if meta["cross_project"] else "single-project"
+                 for meta in metas)
+    tables = {
+        "by size": Counter(meta["size"] for meta in metas),
+        "by support": Counter(meta["support"] for meta in metas),
+        "by category (heuristic)": Counter(meta["category"] or "UNKNOWN"
+                                           for meta in metas),
+        "by domain": Counter(domain for meta in metas for domain in
+                             {domain_of.get(pid, "") for pid in meta["project_ids"]}
+                             if domain),
+        "by project span": cross,
+    }
+    sections = [f"patterns: {len(metas)}",
+                f"samples: {sum(meta['support'] for meta in metas)}"]
+    sections += [_table(title, sorted(counts.items()))
+                 for title, counts in tables.items()]
     return "\n".join(sections) + "\n"
 
 

@@ -88,7 +88,20 @@ class ChangeGraphStore:
             for temporary in staged.values():
                 temporary.unlink(missing_ok=True)
 
-    def manifest(self) -> dict:
-        if not self._manifest_path.exists():
-            return {}
-        return json.loads(self._manifest_path.read_text())
+
+def holds_store(path: str | Path) -> bool:
+    """Whether ``path`` holds a store's records; a pattern set has none."""
+    return (Path(path) / ChangeGraphStore.RECORDS).exists()
+
+
+def checked_manifest(path: str | Path) -> dict:
+    """The manifest of the store at ``path``; ``ValueError`` unless ``path``
+    holds records and a manifest of this ``SCHEMA_VERSION``."""
+    manifest_path = Path(path) / ChangeGraphStore.MANIFEST
+    if not (holds_store(path) and manifest_path.exists()):
+        raise ValueError(f"no change-graph store at {path}")
+    manifest = json.loads(manifest_path.read_text())
+    if manifest.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"store schema version {manifest.get('schema_version')!r}"
+                         f" does not match {SCHEMA_VERSION}")
+    return manifest

@@ -20,6 +20,7 @@ from changeminer.history import ChangeGraphStore
 from changeminer.mining import MiningConfig, load_corpus, mine
 from changeminer.pdg import build_fgpdg
 from changeminer.report import load_pattern_dir
+from changeminer.store import checked_manifest
 
 from _oracle import oracle_pattern_keys
 from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for
@@ -237,8 +238,8 @@ def test_criterion_5_determinism_across_worker_counts(planted, tmp_path):
         records1 = (runs[1][0] / ChangeGraphStore.RECORDS).read_bytes()
         records8 = (runs[8][0] / ChangeGraphStore.RECORDS).read_bytes()
         assert records1 == records8
-        repos1 = ChangeGraphStore(runs[1][0]).manifest()["repos"]
-        repos8 = ChangeGraphStore(runs[8][0]).manifest()["repos"]
+        repos1 = checked_manifest(runs[1][0])["repos"]
+        repos8 = checked_manifest(runs[8][0])["repos"]
         assert repos1 == repos8
         assert sum(info["pairs_unchanged"] for info in repos1.values()) > 0
 

@@ -15,7 +15,8 @@ from changeminer.pdg import UnsupportedConstruct, build_fgpdg
 from changeminer.source import build_import_table, extract_functions, parse_module
 
 from _oracle import reference_map_asts
-from conftest import FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for
+from conftest import (FIG2_AFTER, FIG2_BEFORE, build_unit, change_graph_for,
+                      change_record)
 
 _PROV = Provenance("repo", "c1", "c0", "a.py", "m.f", "x", "")
 
@@ -239,3 +240,39 @@ def test_bottom_up_matches_the_rescanning_reference_on_stdlib_revisions():
                 reference_map_asts(body_b, body_a).pairs, \
                 f"{name}: {unit_b.qualified_name}"
     assert compared > 30
+
+
+def _edge_lists_sorted(record: dict) -> bool:
+    edges = [(e["src"], e["dst"], e["kind"], e["label"]) for e in record["edges"]]
+    return edges == sorted(edges) and record["map_edges"] == sorted(record["map_edges"])
+
+
+def test_fig2_edge_lists_come_out_sorted():
+    # build_change_graph sorts neither list (see its docstring), so a reorder
+    # in pdg or project_mapping fails here instead of changing the store.
+    assert _edge_lists_sorted(change_record(FIG2_BEFORE, FIG2_AFTER))
+
+
+@pytest.mark.skipif(not (_OLD_STDLIB.is_dir() and _NEW_STDLIB.is_dir()),
+                    reason="needs the 3.11.7 and 3.12.1 standard libraries")
+def test_stdlib_edge_lists_come_out_sorted():
+    names = sorted(p.name for p in _OLD_STDLIB.glob("*.py")
+                   if (_NEW_STDLIB / p.name).is_file()
+                   and p.read_bytes() != (_NEW_STDLIB / p.name).read_bytes())[:20]
+    records = 0
+    for name in names:
+        try:
+            units_b, imports_b = _units_of(_OLD_STDLIB / name)
+            units_a, imports_a = _units_of(_NEW_STDLIB / name)
+        except SyntaxError:
+            continue
+        for unit_b, unit_a in match_functions(units_b, units_a):
+            try:
+                record = change_graph_for_pair(unit_b, unit_a, imports_b,
+                                               imports_a, _PROV)
+            except UnsupportedConstruct:
+                continue
+            if record is not None:
+                records += 1
+                assert _edge_lists_sorted(record), f"{name}: {unit_b.qualified_name}"
+    assert records > 40

@@ -4,6 +4,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -420,6 +421,34 @@ def test_rerunning_report_removes_stale_pages(tmp_path, twin_repo, capsys,
     assert len(names) == 1
     assert sorted(p.name for p in pages.glob("pattern-*" + suffix)) == names
     assert (pages / "notes.txt").exists() and (pages / "pattern-0009.other").exists()
+
+
+@pytest.mark.parametrize("removed, command", [
+    ("instances.json", ["stats"]),
+    ("instances.json", ["report", "--format", "dot", "--out", "pages"]),
+    ("graph.json", ["report", "--format", "html", "--out", "pages"]),
+])
+def test_each_reader_opens_only_the_files_it_prints(tmp_path, twin_repo, capsys,
+                                                    monkeypatch, removed, command):
+    monkeypatch.chdir(tmp_path)
+    listing = write_repos(tmp_path, [f"rc {twin_repo}"])
+    main(["mine", "--repos", listing, "--out", "store"])
+    main(["patterns", "--store", "store", "--out", "patterns", "--min-freq", "2",
+          "--min-size", "2", "--keep-subpatterns"])
+    capsys.readouterr()
+
+    def run() -> tuple[str, dict[str, bytes]]:
+        shutil.rmtree("pages", ignore_errors=True)
+        assert main([*command, "--patterns", "patterns"]) == 0
+        pages = tmp_path / "pages"
+        return capsys.readouterr().out, _files(pages) if pages.exists() else {}
+
+    whole = run()
+    files = list(Path("patterns").glob("pattern-*/" + removed))
+    assert len(files) > 1
+    for path in files:
+        path.unlink()
+    assert run() == whole
 
 
 def test_config_boolean_typo_exits_one_naming_the_key(tmp_path, small_repo, capsys):

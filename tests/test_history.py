@@ -27,6 +27,7 @@ from changeminer.history import (BlobReader, ChangeGraphStore, CommitFilter,
 from changeminer.pdg import UnsupportedConstruct
 from changeminer.source import (MAX_NESTING, _nesting, build_import_table,
                                 extract_functions, parse_module)
+from changeminer.store import checked_manifest
 
 from _oracle import reference_pair_modified_files
 from cyclegarbage import garbage_per_commit
@@ -239,7 +240,7 @@ def test_a_missing_blob_fails_only_its_commit(tmp_path, caplog):
     store = ChangeGraphStore(tmp_path / "store")
     assert [r["provenance"]["commit_hash"] for r in store.iter_records()] == \
         sorted([hashes[0], hashes[2]])
-    assert store.manifest()["repos"]["r1"]["warnings"] == 1
+    assert checked_manifest(store.root)["repos"]["r1"]["warnings"] == 1
 
 
 def test_a_reader_that_died_fails_one_read_and_the_next_starts_another(copy_repo):
@@ -378,7 +379,7 @@ def test_manifest_counts_unsupported_and_parse_failures(tmp_path):
     assert info["warnings"] == 2
     assert (info["function_pairs"], info["pairs_unchanged"], info["unsupported"],
             info["parse_failures"], info["graphs"]) == (1, 0, 1, 1, 0)
-    assert store.manifest()["repos"]["r1"] == info
+    assert checked_manifest(store.root)["repos"]["r1"] == info
 
 
 def test_too_deeply_nested_function_is_counted_unsupported(tmp_path, caplog):
@@ -547,7 +548,7 @@ def test_nul_byte_is_a_parse_failure_under_python_310(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "nul.py: parse failure (source code string cannot contain null bytes)" \
         in result.stderr
-    info = ChangeGraphStore(tmp_path / "store").manifest()["repos"]["r1"]
+    info = checked_manifest(tmp_path / "store")["repos"]["r1"]
     assert (info["parse_failures"], info["graphs"]) == (1, 1)
 
 
@@ -803,7 +804,7 @@ def test_parser_warnings_are_counted_not_printed(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
     assert "<unknown>" not in result.stderr
-    info = ChangeGraphStore(tmp_path / "store").manifest()["repos"]["r1"]
+    info = checked_manifest(tmp_path / "store")["repos"]["r1"]
     # One warning in the before revision, two in the after one.
     assert (info["syntax_warnings"], info["graphs"]) == (3, 1)
 

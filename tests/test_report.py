@@ -9,6 +9,7 @@ from changeminer.report import (export_graph, graph_from_dict, graph_to_dict,
                                 load_pattern_dir, pattern_dir_name,
                                 render_html, stats_report, write_pattern_set)
 from changeminer.mining import exact_isomorphic
+from changeminer.store import checked_manifest
 
 from conftest import FIG2_AFTER, FIG2_BEFORE, change_record
 
@@ -31,7 +32,8 @@ def mined_patterns(tmp_path):
     patterns = mine(corpus, MiningConfig())
     for record in patterns.patterns:
         record.category = "BUILT"
-    return {g.id: g for g in corpus}, store.manifest()["repos"], patterns
+    repos = checked_manifest(store.root)["repos"]
+    return {g.id: g for g in corpus}, repos, patterns
 
 
 def test_dot_export_structure(tmp_path):
